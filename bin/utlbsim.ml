@@ -349,6 +349,7 @@ let run_cmd =
             prepin;
             policy;
             memory_limit_pages = limit_pages limit;
+            store = Hier_engine.No_store;
           }
     in
     let sanitizer =

@@ -95,6 +95,7 @@ type path_cost = { path : string; us : float }
 
 type t = {
   label : string;
+  mechanism : string;
   semantics : Stepper.semantics;
   npages : int;
   paths : path_cost list;
@@ -159,9 +160,7 @@ let step_us model ~walk_fault ~irq_fault = function
   | Cost.Dma n -> Cost_model.dma_us model ~entries:(max 1 n)
 
 let prepin_of = function
-  | Stepper.Hier { prepin; _ }
-  | Stepper.Victima { prepin; _ }
-  | Stepper.Utopia { prepin; _ } -> max 1 prepin
+  | Stepper.Hier { prepin; _ } -> max 1 prepin
   | Stepper.Intr _ | Stepper.Static _ -> 1
 
 let pow2_floor n = if n < 1 then 0 else 1 lsl (Float.to_int (Float.log2 (Float.of_int n)))
@@ -241,8 +240,7 @@ let analyze ?(model = Cost_model.default) ?(faults = Plan.empty) ?tenants
           is wider than the %d-entry cache, and under cached = pinned \
           the self-conflict evictions unpin in-flight pages mid-transfer"
          npages entries
-     | Stepper.Hier _ | Stepper.Static _ | Stepper.Victima _
-     | Stepper.Utopia _ ->
+     | Stepper.Hier _ | Stepper.Static _ ->
        emit ~severity:Finding.Warning "UP43"
          "worst-case eviction chain exceeds the cache: a %d-page buffer \
           must evict its own in-flight entries within one translation \
@@ -326,6 +324,7 @@ let analyze ?(model = Cost_model.default) ?(faults = Plan.empty) ?tenants
   | _ -> ());
   {
     label;
+    mechanism = E.mechanism;
     semantics = sem;
     npages;
     paths;
@@ -370,6 +369,7 @@ let of_config (config : Config_file.t) =
             prepin = config.prepin;
             policy = config.policy;
             memory_limit_pages;
+            store = Utlb.Hier_engine.No_store;
           } )
     | Config_file.Intr ->
       Utlb.Engine_intf.Packed
@@ -440,7 +440,7 @@ let pp_json ppf t =
     "{\"label\":\"%s\",\"mechanism\":\"%s\",\"npages\":%d,\"lat_us\":%.3f,\
      \"worst_path\":\"%s\",\"fault_us\":%.3f"
     (e t.label)
-    (e (Stepper.mechanism t.semantics))
+    (e t.mechanism)
     t.npages t.lat_us
     (match t.paths with [] -> "-" | p :: _ -> e p.path)
     t.fault_us;

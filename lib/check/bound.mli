@@ -77,6 +77,7 @@ type path_cost = { path : string; us : float }
 
 type t = {
   label : string;
+  mechanism : string;  (** The engine's {!Utlb.Engine_intf.S.mechanism}. *)
   semantics : Utlb.Stepper.semantics;
   npages : int;  (** Widest buffer the bounds cover. *)
   paths : path_cost list;  (** Priced paths, most expensive first. *)

@@ -85,7 +85,7 @@ let load ic =
       (fun acc ~line s ->
         match Record.of_line ~line s with
         | Ok r -> Ok (r :: acc)
-        | Error _ as e -> (match e with Error m -> Error m | Ok _ -> assert false))
+        | Error m -> Error m)
       []
   with
   | Ok acc -> Ok (of_records (Array.of_list (List.rev acc)))

@@ -1,9 +1,11 @@
 (** The common shape of a translation engine.
 
-    Every translation mechanism in the repository — the
-    Hierarchical-UTLB ({!Hier_engine}), the interrupt-based baseline
-    ({!Intr_engine}), and the Per-process tables ({!Pp_engine}) —
-    implements {!S}. The driver and the campaign layer dispatch over
+    Every translation mechanism in the repository implements {!S}:
+    the Hierarchical-UTLB ({!Hier_engine}), the interrupt-based
+    baseline ({!Intr_engine}), the Per-process tables ({!Pp_engine}),
+    and the two modern engines built as {!Hier_engine} with a
+    second-level store ({!Victima_engine}, {!Utopia_engine}). The
+    driver and the campaign layer dispatch over
     {!packed} values, so a new design (say, a two-level NI cache)
     becomes usable by every experiment in the repo the moment it
     satisfies the signature and registers itself with

@@ -11,12 +11,18 @@ let log_src = Logs.Src.create "utlb.hier" ~doc:"Hierarchical-UTLB engine"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+type store =
+  | No_store
+  | Victim of { entries : int }
+  | Restseg of { sets : int; ways : int }
+
 type config = {
   cache : Ni_cache.config;
   prefetch : int;
   prepin : int;
   policy : Replacement.policy;
   memory_limit_pages : int option;
+  store : store;
 }
 
 let default_config =
@@ -26,6 +32,7 @@ let default_config =
     prepin = 1;
     policy = Replacement.Lru;
     memory_limit_pages = None;
+    store = No_store;
   }
 
 module Pid_table = Hashtbl.Make (struct
@@ -41,6 +48,29 @@ type process = {
   table : Translation_table.t;
   tracker : Replacement.t;
 }
+
+(* Victima's victim store: a flat (pid, vpn) -> frame map bounded by a
+   FIFO ring of the keys in insertion order. Ring slots may hold keys
+   that already left the map (recalled or unpinned); the map is the
+   truth, the ring only chooses who to overwrite when the store is
+   full. *)
+type victim_store = {
+  map : Flat_map.t;
+  ring : int array;
+  mutable cursor : int;
+}
+
+(* Utopia's RestSeg: (mask + 1) sets x [ways] flat key/frame arrays. A
+   key of -1 marks a free way. Placement is hash-constrained: a page may
+   only live in the ways of its hashed set, so a probe touches one set
+   and nothing else. *)
+type restseg = { keys : int array; frames : int array; mask : int; ways : int }
+
+(* The live second-level store, matched inline where the hierarchy
+   consults it, so [Plain] costs one tag test and no call. Both kinds
+   key their lines by [store_key]. A zero-sized store compiles to
+   [Plain], so the engine degenerates to the bare hierarchy exactly. *)
+type store_state = Plain | Victims of victim_store | Rest of restseg
 
 (* The [?sanitizer] option compiled into a record at [create], the same
    treatment [Utlb_obs.Probe] gives [?obs]: the hot path makes two
@@ -70,6 +100,7 @@ and t = {
   ten_active : bool;
       (* [Arbiter.active tenancy], cached so the untenanted per-page
          path pays one local branch instead of a cross-module call. *)
+  store : store_state;
   (* Scratch for [lookup]: the clear runs captured before the pin limit
      is enforced (see there). Grown on demand, never shrunk. *)
   mutable run_start : int array;
@@ -96,6 +127,90 @@ let host t = t.host
 let cache t = t.cache
 
 let classifier t = t.classifier
+
+(* Store keys pack (pid, vpn); vpns fit Translation_table's 20 bits. *)
+let store_key pid vpn = (Pid.to_int pid lsl 20) lor vpn
+
+(* First slot of [key]'s RestSeg set: Fibonacci-hash the key into a set
+   index (the set count is a power of two, so masking the mixed low
+   bits is uniform enough). *)
+let rest_base ~mask ~ways key =
+  let h = key * 0x9E3779B1 in
+  ((h lxor (h lsr 11)) land mask) * ways
+
+(* Victima: a line displaced from the Shared UTLB-Cache spills into the
+   victim store instead of vanishing, overwriting the oldest key when
+   the ring is full. *)
+let spill t v ~pid ~vpn ~frame =
+  let key = store_key pid vpn in
+  let slot = v.cursor in
+  let old = v.ring.(slot) in
+  if old >= 0 && old <> key then Flat_map.remove v.map old;
+  ignore (Flat_map.add v.map key ~v0:frame ~v1:0);
+  v.ring.(slot) <- key;
+  v.cursor <- (slot + 1) mod Array.length v.ring;
+  t.totals <- { t.totals with Report.spills = t.totals.Report.spills + 1 }
+
+(* Victima: take a spilled line back out of the store. Returns its frame,
+   or -1 when the page was never spilled (or has been dropped since). *)
+let recall v pid vpn =
+  let key = store_key pid vpn in
+  let slot = Flat_map.find v.map key in
+  if slot < 0 then -1
+  else begin
+    let frame = Flat_map.value0 v.map slot in
+    Flat_map.remove v.map key;
+    frame
+  end
+
+(* Utopia: claim a RestSeg slot for a freshly pinned page. Restrictive
+   placement never displaces: a full set simply leaves the page on the
+   flexible path. *)
+let rest_place r pid vpn frame =
+  let key = store_key pid vpn in
+  let base = rest_base ~mask:r.mask ~ways:r.ways key in
+  let placed = ref false in
+  let free = ref (-1) in
+  for w = 0 to r.ways - 1 do
+    let k = r.keys.(base + w) in
+    if k = key then begin
+      r.frames.(base + w) <- frame;
+      placed := true
+    end
+    else if k < 0 && !free < 0 then free := base + w
+  done;
+  if (not !placed) && !free >= 0 then begin
+    r.keys.(!free) <- key;
+    r.frames.(!free) <- frame
+  end
+
+(* Utopia: does the RestSeg hold this page? *)
+let rest_probe r pid vpn =
+  let key = store_key pid vpn in
+  let base = rest_base ~mask:r.mask ~ways:r.ways key in
+  let hit = ref false in
+  for w = 0 to r.ways - 1 do
+    if r.keys.(base + w) = key then hit := true
+  done;
+  !hit
+
+(* Utopia: free an unpinned page's slot. *)
+let rest_drop r pid vpn =
+  let key = store_key pid vpn in
+  let base = rest_base ~mask:r.mask ~ways:r.ways key in
+  for w = 0 to r.ways - 1 do
+    if r.keys.(base + w) = key then r.keys.(base + w) <- -1
+  done
+
+(* Forget one unpinned page in the store, so neither a recall nor a
+   RestSeg hit can resurface its stale translation. *)
+let store_drop t pid vpn =
+  match t.store with
+  | Plain -> ()
+  | Victims v ->
+    let key = store_key pid vpn in
+    if Flat_map.mem v.map key then Flat_map.remove v.map key
+  | Rest r -> rest_drop r pid vpn
 
 let add_process t pid =
   if not (Pid_table.mem t.procs pid) then begin
@@ -132,6 +247,9 @@ let remove_process t pid =
     let released = ref 0 in
     Translation_table.iter_valid p.table (fun vpn _frame ->
         Host_memory.unpin t.host pid ~vpn ~count:1;
+        (match t.store with
+        | Rest r -> rest_drop r pid vpn
+        | Plain | Victims _ -> ());
         incr released);
     (match t.sanitizer with
     | None -> ()
@@ -157,6 +275,16 @@ let remove_process t pid =
            walk finds %d"
           Pid.pp pid leaked recount);
     ignore (Ni_cache.invalidate_process t.cache ~pid);
+    (* Purge the departing process's spilled lines: the exit path must
+       leave nothing recallable. *)
+    (match t.store with
+    | Victims v ->
+      let ipid = Pid.to_int pid in
+      let stale = ref [] in
+      Flat_map.iter v.map (fun key ~v0:_ ~v1:_ ->
+          if key lsr 20 = ipid then stale := key :: !stale);
+      List.iter (Flat_map.remove v.map) !stale
+    | Plain | Rest _ -> ());
     if t.ten_active then
       Arbiter.note_unpin t.tenancy ~pid:(Pid.to_int pid) ~pages:!released;
     Pid_table.remove t.procs pid;
@@ -187,6 +315,7 @@ let unpin_one t pid p victim =
   Host_memory.unpin t.host pid ~vpn:victim ~count:1;
   if t.ten_active then
     Arbiter.note_unpin t.tenancy ~pid:(Pid.to_int pid) ~pages:1;
+  store_drop t pid victim;
   Bitvec.clear p.pinned victim;
   Translation_table.invalidate p.table ~vpn:victim;
   if Ni_cache.invalidate t.cache ~pid ~vpn:victim then
@@ -220,7 +349,8 @@ let enforce_limit t pid p ~incoming ~request_vpn ~request_npages =
    than page at a time, Section 6.5). [budget] caps the pages pinned
    (tenant quota): runs beyond it are truncated or skipped, leaving
    the pages unpinned — the NI then sees garbage entries, which is safe
-   by design. Returns (calls, pages). *)
+   by design. Freshly pinned pages claim their RestSeg slot here: the
+   kernel knows the frame right at pin time. Returns (calls, pages). *)
 let pin_runs t pid p nruns ~budget =
   let calls = ref 0 and total = ref 0 in
   for i = 0 to nruns - 1 do
@@ -238,7 +368,10 @@ let pin_runs t pid p nruns ~budget =
           let page = start + j in
           Bitvec.set p.pinned page;
           Translation_table.install p.table ~vpn:page ~frame:frames.(j);
-          Replacement.insert p.tracker page
+          Replacement.insert p.tracker page;
+          match t.store with
+          | Rest r -> rest_place r pid page frames.(j)
+          | Plain | Victims _ -> ()
         done;
         if t.ten_active then
           Arbiter.note_pin t.tenancy ~pid:(Pid.to_int pid) ~pages:count;
@@ -278,18 +411,23 @@ let enforce_quota t pid p ~incoming ~request_vpn ~request_npages =
 
 (* Cache fill = one entry of the NI's DMA fetch from the translation
    table. With the sanitizer on, verify the fetched entry obeys the
-   garbage-page scheme: never the garbage frame, always a pinned page. *)
+   garbage-page scheme: never the garbage frame, always a pinned page.
+   A displaced line spills into the victim store, if there is one. *)
 let fill_cache t pid vpn frame =
   t.san.san_fill t pid vpn frame;
   match Ni_cache.insert t.cache ~pid ~vpn ~frame with
   | None -> ()
-  | Some (evicted_pid, evicted_vpn, _frame) ->
+  | Some (evicted_pid, evicted_vpn, evicted_frame) ->
     if t.ten_active then
       Arbiter.note_eviction t.tenancy
         ~victim_pid:(Pid.to_int evicted_pid)
         ~by_pid:(Pid.to_int pid);
     observe t ~pid:evicted_pid ~vpn:evicted_vpn ~count:Probe.no_count
-      Ev.Ni_evict
+      Ev.Ni_evict;
+    match t.store with
+    | Victims v ->
+      spill t v ~pid:evicted_pid ~vpn:evicted_vpn ~frame:evicted_frame
+    | Plain | Rest _ -> ()
 
 let note_recovery t pid ~vpn () =
   Option.iter Injector.note_recovery t.faults;
@@ -315,7 +453,13 @@ let serve_entry_via_interrupt t pid p vpn =
 
 (* NI-side translation of one page: Shared UTLB-Cache lookup, with a
    [prefetch]-entry fill on a miss. Only valid (pinned) translations are
-   cached; garbage entries are skipped. *)
+   cached; garbage entries are skipped. A second-level store changes two
+   points. The RestSeg is probed first: a hit is hashed direct placement
+   and never touches the set-associative cache or the miss classifier,
+   which model only the flexible path. The victim store is probed after
+   a miss is classified: a recall refills the cache with one direct read
+   and no DMA table walk (the miss still counts; it is the walk that is
+   saved). *)
 let ni_translate t pid p vpn =
   (* Fault plane: a spurious invalidation may knock this page's line
      out just before the probe. It only becomes visible (and worth
@@ -331,81 +475,117 @@ let ni_translate t pid p vpn =
        observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_inject;
        true)
   in
-  match Ni_cache.lookup t.cache ~pid ~vpn with
-  | Some _ ->
+  let rest_hit =
+    match t.store with
+    | Rest r -> rest_probe r pid vpn
+    | Plain | Victims _ -> false
+  in
+  if rest_hit then begin
+    t.totals <-
+      { t.totals with Report.restseg_hits = t.totals.Report.restseg_hits + 1 };
     if t.ten_active then
       Arbiter.note_ni_access t.tenancy ~pid:(Pid.to_int pid) ~hit:true;
-    Miss_classifier.note_hit t.classifier ~pid ~vpn;
     observe t ~pid ~vpn ~count:Probe.no_count Ev.Ni_hit;
-    (0, 0)
-  | None ->
-    if t.ten_active then
-      Arbiter.note_ni_access t.tenancy ~pid:(Pid.to_int pid) ~hit:false;
-    ignore (Miss_classifier.classify t.classifier ~pid ~vpn);
-    observe t ~pid ~vpn ~count:Probe.no_count Ev.Ni_miss;
-    (* Fault plane: the second-level table holding this page may have
-       been swapped out from under the NI; the existing Table_swapped
-       recovery below then brings it back. *)
-    let injected_swap =
-      match t.faults with
-      | None -> false
-      | Some inj ->
-        Injector.table_swap inj
-        && Translation_table.swap_out p.table ~dir_index:(vpn lsr 10)
-             ~disk_block:1
-        &&
-        (observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_inject;
-         true)
-    in
-    (* Fault plane: the DMA fetch of the prefetch block may fail and be
-       retried with backoff; an exhausted budget falls back to the
-       interrupt path for just the faulting entry. *)
-    let dma =
-      match t.faults with None -> Some 0 | Some inj -> Injector.dma_attempts inj
-    in
-    let fetched = ref 0 in
-    (match dma with
-    | None ->
-      let retries =
-        match t.faults with
-        | Some inj -> max 0 (Injector.plan inj).Utlb_fault.Plan.dma_retries
-        | None -> 0
-      in
-      observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_inject;
-      observe t ~pid ~vpn ~count:(1 + retries) Ev.Fault_retry;
-      serve_entry_via_interrupt t pid p vpn;
-      note_recovery t pid ~vpn ()
-    | Some failed ->
-      if failed > 0 then begin
-        observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_inject;
-        observe t ~pid ~vpn ~count:failed Ev.Fault_retry
-      end;
-      for q = vpn to vpn + t.config.prefetch - 1 do
-        if q <= Translation_table.max_vpn then begin
-          match Translation_table.lookup p.table ~vpn:q with
-          | Translation_table.Frame frame ->
-            incr fetched;
-            fill_cache t pid q frame
-          | Translation_table.Garbage -> ()
-          | Translation_table.Table_swapped _ ->
-            (* Interrupt the host to swap the table back in, then retry
-               the entry. *)
-            t.table_swap_interrupts <- t.table_swap_interrupts + 1;
-            observe t ~pid ~vpn:q ~count:Probe.no_count Ev.Interrupt;
-            ignore (Translation_table.swap_in p.table ~dir_index:(q lsr 10));
-            (match Translation_table.lookup p.table ~vpn:q with
-            | Translation_table.Frame frame ->
-              incr fetched;
-              fill_cache t pid q frame
-            | Translation_table.Garbage | Translation_table.Table_swapped _ ->
-              ())
-        end
-      done;
-      if failed > 0 then note_recovery t pid ~vpn ());
-    if injected_swap then note_recovery t pid ~vpn ();
     if injected_invalidate then note_recovery t pid ~vpn ();
-    if !fetched > 0 then observe t ~pid ~vpn ~count:!fetched Ev.Fetch;
-    (1, !fetched)
+    (0, 0)
+  end
+  else
+    match Ni_cache.lookup t.cache ~pid ~vpn with
+    | Some _ ->
+      if t.ten_active then
+        Arbiter.note_ni_access t.tenancy ~pid:(Pid.to_int pid) ~hit:true;
+      Miss_classifier.note_hit t.classifier ~pid ~vpn;
+      observe t ~pid ~vpn ~count:Probe.no_count Ev.Ni_hit;
+      (0, 0)
+    | None ->
+      if t.ten_active then
+        Arbiter.note_ni_access t.tenancy ~pid:(Pid.to_int pid) ~hit:false;
+      ignore (Miss_classifier.classify t.classifier ~pid ~vpn);
+      observe t ~pid ~vpn ~count:Probe.no_count Ev.Ni_miss;
+      let recalled =
+        match t.store with
+        | Victims v -> recall v pid vpn
+        | Plain | Rest _ -> -1
+      in
+      if recalled >= 0 then begin
+        (* Recall: one direct read from the on-host victim store; no
+           fetch, no fault plane (the DMA walk it would shield is
+           skipped entirely). *)
+        fill_cache t pid vpn recalled;
+        t.totals <-
+          { t.totals with Report.recalls = t.totals.Report.recalls + 1 };
+        if injected_invalidate then note_recovery t pid ~vpn ();
+        (1, 0)
+      end
+      else begin
+        (* Fault plane: the second-level table holding this page may
+           have been swapped out from under the NI; the existing
+           Table_swapped recovery below then brings it back. *)
+        let injected_swap =
+          match t.faults with
+          | None -> false
+          | Some inj ->
+            Injector.table_swap inj
+            && Translation_table.swap_out p.table ~dir_index:(vpn lsr 10)
+                 ~disk_block:1
+            &&
+            (observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_inject;
+             true)
+        in
+        (* Fault plane: the DMA fetch of the prefetch block may fail and
+           be retried with backoff; an exhausted budget falls back to the
+           interrupt path for just the faulting entry. *)
+        let dma =
+          match t.faults with
+          | None -> Some 0
+          | Some inj -> Injector.dma_attempts inj
+        in
+        let fetched = ref 0 in
+        (match dma with
+        | None ->
+          let retries =
+            match t.faults with
+            | Some inj -> max 0 (Injector.plan inj).Utlb_fault.Plan.dma_retries
+            | None -> 0
+          in
+          observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_inject;
+          observe t ~pid ~vpn ~count:(1 + retries) Ev.Fault_retry;
+          serve_entry_via_interrupt t pid p vpn;
+          note_recovery t pid ~vpn ()
+        | Some failed ->
+          if failed > 0 then begin
+            observe t ~pid ~vpn ~count:Probe.no_count Ev.Fault_inject;
+            observe t ~pid ~vpn ~count:failed Ev.Fault_retry
+          end;
+          for q = vpn to vpn + t.config.prefetch - 1 do
+            if q <= Translation_table.max_vpn then begin
+              match Translation_table.lookup p.table ~vpn:q with
+              | Translation_table.Frame frame ->
+                incr fetched;
+                fill_cache t pid q frame
+              | Translation_table.Garbage -> ()
+              | Translation_table.Table_swapped _ ->
+                (* Interrupt the host to swap the table back in, then
+                   retry the entry. *)
+                t.table_swap_interrupts <- t.table_swap_interrupts + 1;
+                observe t ~pid ~vpn:q ~count:Probe.no_count Ev.Interrupt;
+                ignore
+                  (Translation_table.swap_in p.table ~dir_index:(q lsr 10));
+                (match Translation_table.lookup p.table ~vpn:q with
+                | Translation_table.Frame frame ->
+                  incr fetched;
+                  fill_cache t pid q frame
+                | Translation_table.Garbage
+                | Translation_table.Table_swapped _ ->
+                  ())
+            end
+          done;
+          if failed > 0 then note_recovery t pid ~vpn ());
+        if injected_swap then note_recovery t pid ~vpn ();
+        if injected_invalidate then note_recovery t pid ~vpn ();
+        if !fetched > 0 then observe t ~pid ~vpn ~count:!fetched Ev.Fetch;
+        (1, !fetched)
+      end
 
 (* Shadow check of one page: if the Shared UTLB-Cache holds a
    translation for it, that translation must agree with both the
@@ -443,6 +623,27 @@ let check_cached_page t san pid p vpn =
         "%a vpn=%#x: cached translation for a non-resident page" Pid.pp pid
         vpn)
 
+(* Shadow check of one second-level store line, named [store] in the
+   findings: it must still describe a pinned, resident page with the
+   host's frame. Recalls and RestSeg hits bypass the table walk, so a
+   stale line would silently resurface an invalidated translation. *)
+let check_store_line t san ~store key frame =
+  let pid = Pid.of_int (key lsr 20) and vpn = key land 0xFFFFF in
+  match Host_memory.translate t.host pid ~vpn with
+  | Some f when f = frame ->
+    if Host_memory.pin_count t.host pid ~vpn = 0 then
+      Sanitizer.recordf san ~code:"UV05"
+        "%a vpn=%#x: %s holds a translation for an unpinned page" Pid.pp
+        pid vpn store
+  | Some f ->
+    Sanitizer.recordf san ~code:"UV04"
+      "%a vpn=%#x: %s frame %d disagrees with host frame %d" Pid.pp pid vpn
+      store frame f
+  | None ->
+    Sanitizer.recordf san ~code:"UV04"
+      "%a vpn=%#x: %s translation for a non-resident page" Pid.pp pid vpn
+      store
+
 let run_invariants t =
   match t.sanitizer with
   | None -> ()
@@ -460,6 +661,17 @@ let run_invariants t =
               "%a vpn=%#x: Shared UTLB-Cache holds the garbage frame"
               Pid.pp pid vpn;
           check_cached_page t san pid p vpn);
+    (match t.store with
+    | Plain -> ()
+    | Victims v ->
+      Flat_map.iter v.map (fun key ~v0:frame ~v1:_ ->
+          check_store_line t san ~store:"victim store" key frame)
+    | Rest r ->
+      Array.iteri
+        (fun i key ->
+          if key >= 0 then
+            check_store_line t san ~store:"RestSeg" key r.frames.(i))
+        r.keys);
     Pid_table.iter
       (fun pid p ->
         let bits = Bitvec.population p.pinned in
@@ -511,11 +723,34 @@ let compile_san = function
           done);
     }
 
+(* Validation errors name the engine and field a store comes from, as
+   the registry's victima and utopia entries report them. *)
+let create_store = function
+  | No_store | Victim { entries = 0 } | Restseg { ways = 0; _ } -> Plain
+  | Victim { entries } ->
+    if entries < 0 then
+      invalid_arg "Victima_engine.create: victim_entries must be >= 0";
+    Victims
+      { map = Flat_map.create (); ring = Array.make entries (-1); cursor = 0 }
+  | Restseg { sets; ways } ->
+    if ways < 0 then
+      invalid_arg "Utopia_engine.create: rest_ways must be >= 0";
+    if sets <= 0 || sets land (sets - 1) <> 0 then
+      invalid_arg "Utopia_engine.create: rest_sets must be a power of two";
+    Rest
+      {
+        keys = Array.make (sets * ways) (-1);
+        frames = Array.make (sets * ways) 0;
+        mask = sets - 1;
+        ways;
+      }
+
 let create ?host ?sanitizer ?obs ?faults ?tenancy ~seed config =
   if config.prefetch < 1 then
     invalid_arg "Hier_engine.create: prefetch must be >= 1";
   if config.prepin < 1 then
     invalid_arg "Hier_engine.create: prepin must be >= 1";
+  let store = create_store config.store in
   let host = match host with Some h -> h | None -> Host_memory.create () in
   let cache = Ni_cache.create config.cache in
   let tenancy = Option.value ~default:Arbiter.none tenancy in
@@ -533,6 +768,7 @@ let create ?host ?sanitizer ?obs ?faults ?tenancy ~seed config =
     faults;
     tenancy;
     ten_active = Arbiter.active tenancy;
+    store;
     run_start = Array.make 8 0;
     run_len = Array.make 8 0;
     totals = Report.empty ~label:"utlb";
@@ -676,15 +912,22 @@ let remove_and_report t ~label =
   List.iter (fun pid -> ignore (remove_process t pid)) (processes t);
   report t ~label
 
+(* A second-level store is a host-resident accelerator over the same
+   pin ledger, so every store keeps the hierarchical protocol. *)
 let stepper (config : config) =
   Stepper.Hier
     { prepin = config.prepin; limit_pages = config.memory_limit_pages }
 
 let cost_paths (config : config) ~npages =
+  let paths =
+    match config.store with
+    | No_store -> Stepper.Cost.hier_paths
+    | Victim _ -> Stepper.Cost.victima_paths
+    | Restseg _ -> Stepper.Cost.utopia_paths
+  in
   {
     Stepper.Cost.paths =
-      Stepper.Cost.hier_paths ~prefetch:config.prefetch ~prepin:config.prepin
-        ~npages;
+      paths ~prefetch:config.prefetch ~prepin:config.prepin ~npages;
     cache_entries = config.cache.Ni_cache.entries;
     prefetch = max 1 config.prefetch;
   }

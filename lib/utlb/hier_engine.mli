@@ -17,6 +17,12 @@
       fills the cache (entries still holding the garbage frame are not
       cached).
 
+    An optional second-level {!store} sits beside the Shared
+    UTLB-Cache. It is how the two modern competitors are built on the
+    same hierarchy: {!Victima_engine} spills evicted lines into a victim
+    store and {!Utopia_engine} places pinned pages in a RestSeg zone.
+    Both stores are host-resident and never change the pin ledger.
+
     The engine is deterministic from its seed and accumulates a
     {!Report.t}. It is used both by the trace-driven simulator and
     (page at a time) by the online VMMC integration. It satisfies
@@ -25,17 +31,45 @@
 val mechanism : string
 (** ["utlb"]. *)
 
+(** The second-level store. A store sized to zero ([entries = 0] or
+    [ways = 0]) is [No_store] exactly: same RNG draw order, same
+    report. *)
+type store =
+  | No_store  (** The paper's hierarchy alone. *)
+  | Victim of { entries : int }
+      (** Victima (cf. PAPERS.md, MICRO '23): an L2-resident victim
+          store of [entries] lines, managed FIFO. A capacity eviction
+          from the Shared UTLB-Cache {e spills} the displaced line into
+          the store (counted in {!Report.t.spills}). An NI miss that
+          finds its page there {e recalls} the line: one direct read
+          refills the cache, with no DMA table walk (counted in
+          {!Report.t.recalls}, priced by {!Report.victima_cost_us}). A
+          recall still counts as an NI miss. [entries] must be >= 0. *)
+  | Restseg of { sets : int; ways : int }
+      (** Utopia (cf. PAPERS.md, MICRO '23): a [sets] x [ways]
+          hash-constrained RestSeg zone in front of the Shared
+          UTLB-Cache. A freshly pinned page claims a slot of its hashed
+          set at pin time; a full set leaves it on the flexible path,
+          since restrictive placement never displaces. An NI access that
+          hits the RestSeg resolves with one hashed probe: no set walk,
+          no table fetch and no miss-classifier traffic (counted in
+          {!Report.t.restseg_hits}, priced by {!Report.utopia_cost_us}).
+          It counts as an NI hit. [ways] must be >= 0 and, when
+          [ways > 0], [sets] a power of two. *)
+
 type config = {
   cache : Ni_cache.config;
   prefetch : int;  (** Entries fetched per NI miss, >= 1. *)
   prepin : int;  (** Contiguous pages pinned per check miss, >= 1. *)
   policy : Replacement.policy;
   memory_limit_pages : int option;  (** Per-process pinned-page cap. *)
+  store : store;
 }
 
 val default_config : config
 (** The paper's implementation defaults: 8 K-entry direct-mapped cache
-    with index offsetting, no prefetch, no pre-pin, LRU, no limit. *)
+    with index offsetting, no prefetch, no pre-pin, LRU, no limit, no
+    second-level store. *)
 
 type t
 
@@ -67,8 +101,8 @@ val create :
     to interrupt-path service of the faulting entry), spurious cache
     invalidations, and table swap-outs — every recovery is counted in
     the report's [fault_recoveries].
-    @raise Invalid_argument on a non-positive prefetch/prepin or an
-    invalid cache geometry. *)
+    @raise Invalid_argument on a non-positive prefetch/prepin, an
+    invalid store size, or an invalid cache geometry. *)
 
 val config : t -> config
 
@@ -84,8 +118,8 @@ val add_process : t -> Utlb_mem.Pid.t -> unit
 
 val remove_process : t -> Utlb_mem.Pid.t -> int
 (** Process exit: unpin every page the process still holds, drop its
-    Shared UTLB-Cache lines and translation table. Returns the number
-    of pages released. Unknown processes release 0. *)
+    Shared UTLB-Cache lines, store lines and translation table. Returns
+    the number of pages released. Unknown processes release 0. *)
 
 val processes : t -> Utlb_mem.Pid.t list
 (** Live processes, ascending pid. *)
@@ -129,16 +163,20 @@ val run_invariants : t -> unit
     UTLB-Cache line must agree with its process's translation table and
     the host page table and point at a pinned, non-garbage frame; every
     process's pin accounting must agree across the user bit vector, the
-    host's incremental counter, and a full page-table walk; and the
-    miss classifier's shadow cache must be structurally consistent.
+    host's incremental counter, and a full page-table walk; every
+    store line must map a pinned, resident page with the host's frame;
+    and the miss classifier's shadow cache must be structurally
+    consistent.
     Intended at quiescent points (end of run, between phases). *)
 
 val stepper : config -> Stepper.semantics
 (** Step-level protocol view for [utlbcheck explore]: host-table
     semantics ({!Stepper.Hier}) with this config's pre-pin window and
-    pinned-page limit. *)
+    pinned-page limit, whatever the store. *)
 
 val cost_paths : config -> npages:int -> Stepper.Cost.profile
 (** Worst-case priced control paths of one [npages]-page translation
     under this configuration, for [utlbcheck bound]
-    ({!Engine_intf.S.cost_paths}). *)
+    ({!Engine_intf.S.cost_paths}): {!Stepper.Cost.hier_paths}, plus
+    the store's own chains ({!Stepper.Cost.victima_paths},
+    {!Stepper.Cost.utopia_paths}). *)

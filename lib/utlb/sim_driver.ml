@@ -24,11 +24,32 @@ let src =
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+(* A record parses whatever its vpn, but a buffer that runs past the
+   translation table has no translation on any engine: skip it too.
+   The test is written so that it cannot overflow. *)
+let in_table (r : Record.t) = r.vpn <= Translation_table.max_vpn - r.npages + 1
+
 let load_trace_lenient ic =
-  Trace.load_lenient
-    ~on_skip:(fun ~line:_ msg ->
-      Log.warn (fun m -> m "skipping malformed trace record: %s" msg))
-    ic
+  let trace, skipped =
+    Trace.load_lenient
+      ~on_skip:(fun ~line:_ msg ->
+        Log.warn (fun m -> m "skipping malformed trace record: %s" msg))
+      ic
+  in
+  let records = Trace.records trace in
+  if Array.for_all in_table records then (trace, skipped)
+  else begin
+    let kept, out = List.partition in_table (Array.to_list records) in
+    List.iter
+      (fun r ->
+        Log.warn (fun m ->
+            m
+              "skipping malformed trace record: %S: buffer runs past the \
+               translation table (max vpn %#x)"
+              (Record.to_string r) Translation_table.max_vpn))
+      out;
+    (Trace.of_records (Array.of_list kept), skipped + List.length out)
+  end
 
 let run_packed ?(seed = default_seed) ?sanitizer ?obs ?faults ?tenancy
     ?(records_skipped = 0) ?label (Packed ((module E), config)) trace =
@@ -163,21 +184,25 @@ let cache_param params =
     associativity = assoc_param params ~default:Ni_cache.Direct;
   }
 
+(* The three hierarchical entries share one config; only the store
+   differs. *)
+let hier_config params store =
+  {
+    Hier_engine.cache = cache_param params;
+    prefetch = int_param params "prefetch" ~default:1;
+    prepin = int_param params "prepin" ~default:1;
+    policy = policy_param params ~default:Replacement.Lru;
+    memory_limit_pages = limit_param params;
+    store;
+  }
+
 let () =
   Registry.register ~name:Hier_engine.mechanism
     ~doc:
       "Hierarchical-UTLB with the Shared UTLB-Cache (params: entries, \
        assoc, prefetch, prepin, policy, limit-mb)"
     (fun params ->
-      Packed
-        ( (module Hier_engine),
-          {
-            Hier_engine.cache = cache_param params;
-            prefetch = int_param params "prefetch" ~default:1;
-            prepin = int_param params "prepin" ~default:1;
-            policy = policy_param params ~default:Replacement.Lru;
-            memory_limit_pages = limit_param params;
-          } ));
+      Packed ((module Hier_engine), hier_config params Hier_engine.No_store));
   Registry.register ~name:Intr_engine.mechanism
     ~doc:
       "interrupt-based baseline (params: entries, assoc, limit-mb)"
@@ -209,14 +234,10 @@ let () =
     (fun params ->
       Packed
         ( (module Victima_engine),
-          {
-            Victima_engine.cache = cache_param params;
-            prefetch = int_param params "prefetch" ~default:1;
-            prepin = int_param params "prepin" ~default:1;
-            policy = policy_param params ~default:Replacement.Lru;
-            memory_limit_pages = limit_param params;
-            victim_entries = int_param params "victim-entries" ~default:2048;
-          } ));
+          hier_config params
+            (Hier_engine.Victim
+               { entries = int_param params "victim-entries" ~default:2048 })
+        ));
   Registry.register ~name:Utopia_engine.mechanism
     ~doc:
       "Hierarchical-UTLB with a hash-constrained RestSeg zone in front \
@@ -225,12 +246,9 @@ let () =
     (fun params ->
       Packed
         ( (module Utopia_engine),
-          {
-            Utopia_engine.cache = cache_param params;
-            prefetch = int_param params "prefetch" ~default:1;
-            prepin = int_param params "prepin" ~default:1;
-            policy = policy_param params ~default:Replacement.Lru;
-            memory_limit_pages = limit_param params;
-            rest_sets = int_param params "rest-sets" ~default:2048;
-            rest_ways = int_param params "rest-ways" ~default:4;
-          } ))
+          hier_config params
+            (Hier_engine.Restseg
+               {
+                 sets = int_param params "rest-sets" ~default:2048;
+                 ways = int_param params "rest-ways" ~default:4;
+               }) ))

@@ -32,9 +32,11 @@ val default_seed : int64
 
 val load_trace_lenient : in_channel -> Utlb_trace.Trace.t * int
 (** {!Utlb_trace.Trace.load_lenient} with each skipped record logged
-    as a warning on the ["utlb.driver"] [Logs] source. Returns the
-    trace and the skip count (pass it to [run_packed]'s
-    [?records_skipped] so the report remembers). *)
+    as a warning on the ["utlb.driver"] [Logs] source. A record whose
+    buffer runs past {!Translation_table.max_vpn} is skipped too: no
+    engine can translate it. Returns the trace and the skip count
+    (pass it to [run_packed]'s [?records_skipped] so the report
+    remembers). *)
 
 val run_packed :
   ?seed:int64 ->

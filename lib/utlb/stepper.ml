@@ -9,15 +9,11 @@ type semantics =
   | Hier of { prepin : int; limit_pages : int option }
   | Intr of { entries : int; limit_pages : int option }
   | Static of { processes : int; share : int }
-  | Victima of { prepin : int; limit_pages : int option }
-  | Utopia of { prepin : int; limit_pages : int option }
 
 let mechanism = function
   | Hier _ -> "utlb"
   | Intr _ -> "intr"
   | Static _ -> "per-process"
-  | Victima _ -> "victima"
-  | Utopia _ -> "utopia"
 
 (* {2 Requests, mutants, scope} *)
 
@@ -175,10 +171,8 @@ let in_active st pid vpn =
 
 let capacity = function
   | Hier { limit_pages = Some l; _ }
-  | Intr { limit_pages = Some l; _ }
-  | Victima { limit_pages = Some l; _ }
-  | Utopia { limit_pages = Some l; _ } -> l
-  | Hier _ | Intr _ | Victima _ | Utopia _ -> max_int
+  | Intr { limit_pages = Some l; _ } -> l
+  | Hier _ | Intr _ -> max_int
   | Static { share; _ } -> share
 
 let population st pid =
@@ -187,21 +181,21 @@ let population st pid =
 (* Under intr, cached = pinned: evicting a line unpins its page, so
    lines of an in-flight span are protected. The hierarchical cache is
    only an accelerator (translations survive in the host table), so
-   any line may be dropped harmlessly — and the same holds for the
-   victima victim store and the utopia RestSeg, both of which are
-   host-resident acceleration structures over the same pin ledger. *)
+   any line may be dropped harmlessly — and the same holds for a
+   second-level store (victim store or RestSeg), which is host-resident
+   acceleration over the same pin ledger. *)
 let protected_entry sem st (owner, vpn) =
   match sem with
   | Intr _ -> in_active st owner vpn
-  | Hier _ | Static _ | Victima _ | Utopia _ -> false
+  | Hier _ | Static _ -> false
 
 let first_pin_sub = function
   | Intr _ -> Irq_pending
-  | Hier _ | Static _ | Victima _ | Utopia _ -> Pin_pending
+  | Hier _ | Static _ -> Pin_pending
 
 let first_xfer_sub = function
   | Static _ -> Use_pending
-  | Hier _ | Intr _ | Victima _ | Utopia _ -> Fetch_pending
+  | Hier _ | Intr _ -> Fetch_pending
 
 (* {2 Violations} *)
 
@@ -234,9 +228,7 @@ let issue_checks sem st pid (req : request) =
       (req.vpn + n - 1)
       max_vpn;
   (match sem with
-  | Hier { prepin; limit_pages }
-  | Victima { prepin; limit_pages }
-  | Utopia { prepin; limit_pages } -> (
+  | Hier { prepin; limit_pages } -> (
     match limit_pages with
     | None -> ()
     | Some l ->
@@ -492,7 +484,7 @@ let apply scope sem st action =
             table = sorted_remove (pid, vpn) st.table;
           },
           viols )
-      | Hier _ | Static _ | Victima _ | Utopia _ -> (st, [])
+      | Hier _ | Static _ -> (st, [])
     in
     (st, viols)
   | Use { pid; vpn } ->

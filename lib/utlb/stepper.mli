@@ -42,18 +42,16 @@ type semantics =
   | Hier of { prepin : int; limit_pages : int option }
   | Intr of { entries : int; limit_pages : int option }
   | Static of { processes : int; share : int }
-  | Victima of { prepin : int; limit_pages : int option }
-      (** Hierarchical semantics: the victim store is a host-resident
-          accelerator, so evictions stay harmless. *)
-  | Utopia of { prepin : int; limit_pages : int option }
-      (** Hierarchical semantics: RestSeg placement never changes the
-          pin ledger, only where the NI finds the translation. *)
 (** The capacity parameters the step relation needs, derived from an
-    engine config by {!Engine_intf.S.stepper}. *)
+    engine config by {!Engine_intf.S.stepper}. The hierarchical engines
+    with a second-level store (victima, utopia) step as [Hier]: the
+    store is a host-resident accelerator that never changes the pin
+    ledger, only where the NI finds a translation. *)
 
 val mechanism : semantics -> string
-(** Registry name of the engine family: ["utlb"], ["intr"],
-    ["per-process"], ["victima"], or ["utopia"]. *)
+(** Registry name of the protocol family: ["utlb"], ["intr"], or
+    ["per-process"]. Label a specific engine by its own
+    {!Engine_intf.S.mechanism} instead. *)
 
 (** {2 Requests, mutants, scope} *)
 

@@ -16,9 +16,10 @@
     - {!Intr_engine}: the interrupt-based baseline it is compared
       against (Section 6.2);
     - {!Victima_engine} and {!Utopia_engine}: two modern competitors
-      (MICRO '23, see PAPERS.md) rebuilt on the UTLB substrate — an L2
-      victim store behind the Shared UTLB-Cache, and a
-      hash-constrained RestSeg zone in front of it;
+      (MICRO '23, see PAPERS.md), each {!Hier_engine} with a
+      second-level {!Hier_engine.store} — an L2 victim store behind the
+      Shared UTLB-Cache, and a hash-constrained RestSeg zone in front of
+      it;
     - {!Replacement}: the five user-level replacement policies
       (Section 3.4);
     - {!Miss_classifier}: three-C miss decomposition (Figure 7);

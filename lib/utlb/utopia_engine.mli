@@ -3,118 +3,15 @@
     Virtual-to-Physical Address Mappings", MICRO '23), transplanted
     onto the UTLB substrate.
 
-    Translations live in one of two zones:
+    It is {!Hier_engine} with a {!Hier_engine.Restseg} second-level
+    store: freshly pinned pages claim a slot of a hash-constrained
+    RestSeg zone, and an NI access that hits it resolves with one
+    hashed probe; everything else takes the flexible path, which is
+    the plain hierarchy. [rest-ways=0] degenerates to the plain
+    hierarchy exactly. It satisfies {!Engine_intf.S} (registered as
+    ["utopia"]): [mechanism] is ["utopia"] and [default_config] is the
+    hierarchical default plus a 2 K-set x 4-way RestSeg. *)
 
-    + the {e RestSeg}, a [rest_sets] x [rest_ways] hash-constrained
-      segment. Freshly pinned pages claim a slot at pin time (the
-      kernel knows the frame right there); a full set leaves the page
-      on the flexible path — restrictive placement never displaces.
-      An NI access that hits the RestSeg resolves with one hashed
-      probe: no set walk, no table fetch, no miss-classifier traffic
-      (counted in {!Report.t.restseg_hits}, priced by
-      {!Report.utopia_cost_us});
-    + the {e flexible} zone — the hierarchical UTLB verbatim (Shared
-      UTLB-Cache over the host-resident table) — for everything else.
-
-    Unpinning or process exit frees the page's RestSeg slot, so a hit
-    can never resurface a stale translation. [rest_ways = 0] disables
-    the RestSeg and the engine degenerates to {!Hier_engine} exactly
-    (same RNG draw order, same report). It satisfies {!Engine_intf.S}
-    (registered as ["utopia"]). *)
-
-val mechanism : string
-(** ["utopia"]. *)
-
-type config = {
-  cache : Ni_cache.config;
-  prefetch : int;  (** Entries fetched per NI miss, >= 1. *)
-  prepin : int;  (** Contiguous pages pinned per check miss, >= 1. *)
-  policy : Replacement.policy;
-  memory_limit_pages : int option;  (** Per-process pinned-page cap. *)
-  rest_sets : int;
-      (** RestSeg sets; must be a power of two when [rest_ways > 0]. *)
-  rest_ways : int;  (** Slots per RestSeg set; 0 disables the zone. *)
-}
-
-val default_config : config
-(** The hierarchical defaults plus a 2 K-set x 4-way RestSeg. *)
-
-type t
-
-val create :
-  ?host:Utlb_mem.Host_memory.t ->
-  ?sanitizer:Utlb_sim.Sanitizer.t ->
-  ?obs:Utlb_obs.Scope.t ->
-  ?faults:Utlb_fault.Injector.t ->
-  ?tenancy:Utlb_tenant.Arbiter.t ->
-  seed:int64 ->
-  config ->
-  t
-(** All optional planes behave as in {!Hier_engine.create}; the
-    sanitizer additionally audits every RestSeg slot at
-    {!run_invariants} (it must map a pinned, resident page with the
-    matching frame).
-    @raise Invalid_argument on a non-positive prefetch/prepin, a
-    negative [rest_ways], a non-power-of-two [rest_sets] (when the
-    zone is enabled), or an invalid cache geometry. *)
-
-val config : t -> config
-
-val host : t -> Utlb_mem.Host_memory.t
-
-val cache : t -> Ni_cache.t
-
-val classifier : t -> Miss_classifier.t
-
-val add_process : t -> Utlb_mem.Pid.t -> unit
-(** Idempotent. *)
-
-val remove_process : t -> Utlb_mem.Pid.t -> int
-(** Unpins everything the process holds, drops its cache lines and
-    RestSeg slots. Returns pages released. *)
-
-val processes : t -> Utlb_mem.Pid.t list
-(** Live processes, ascending pid. *)
-
-val table : t -> Utlb_mem.Pid.t -> Translation_table.t
-(** @raise Invalid_argument for an unknown process. *)
-
-val pinned_pages : t -> Utlb_mem.Pid.t -> int
-
-val rest_population : t -> int
-(** RestSeg slots currently claimed. *)
-
-type outcome = {
-  check_miss : bool;
-  pages_pinned : int;
-  pin_calls : int;
-  pages_unpinned : int;
-  unpin_calls : int;
-  ni_accesses : int;
-  ni_misses : int;
-  entries_fetched : int;
-}
-
-val lookup : t -> pid:Utlb_mem.Pid.t -> vpn:int -> npages:int -> outcome
-(** Translate one communication buffer. A RestSeg hit counts as an NI
-    hit.
-    @raise Invalid_argument if [npages < 1]. *)
-
-val is_pinned : t -> pid:Utlb_mem.Pid.t -> vpn:int -> bool
-
-val translate : t -> pid:Utlb_mem.Pid.t -> vpn:int -> int option
-
-val report : t -> label:string -> Report.t
-
-val remove_and_report : t -> label:string -> Report.t
-
-val run_invariants : t -> unit
-
-val stepper : config -> Stepper.semantics
-(** {!Stepper.Utopia}: hierarchical pin protocol (RestSeg placement
-    never changes the pin ledger). *)
-
-val cost_paths : config -> npages:int -> Stepper.Cost.profile
-(** Worst-case priced control paths of one [npages]-page translation
-    under this configuration, for [utlbcheck bound]
-    ({!Engine_intf.S.cost_paths}). *)
+include module type of struct
+  include Hier_engine
+end

@@ -3,115 +3,15 @@
     Underutilized Cache Resources", MICRO '23), transplanted onto the
     UTLB substrate.
 
-    The front end is the hierarchical UTLB verbatim — pin bit vector,
-    host-resident translation table, Shared UTLB-Cache with
-    prefetching. Behind the cache sits an L2-resident {e victim store}
-    of [victim_entries] lines, managed FIFO:
+    It is {!Hier_engine} with a {!Hier_engine.Victim} second-level
+    store: capacity evictions from the Shared UTLB-Cache spill into an
+    L2-resident victim store, and a later NI miss on the same page
+    recalls the line with one direct read instead of a DMA table walk.
+    [victim-entries=0] degenerates to the plain hierarchy exactly. It
+    satisfies {!Engine_intf.S} (registered as ["victima"]): [mechanism]
+    is ["victima"] and [default_config] is the hierarchical default plus
+    a 2 K-line victim store. *)
 
-    + a capacity eviction from the Shared UTLB-Cache {e spills} the
-      displaced (pid, vpn, frame) into the store instead of dropping
-      it (counted in {!Report.t.spills});
-    + an NI miss first probes the store; a hit {e recalls} the line —
-      one direct read refills the cache, no DMA table walk (counted in
-      {!Report.t.recalls}, priced by {!Report.victima_cost_us});
-    + unpinning or process exit purges the page's store entry, so a
-      recall can never resurface a stale translation.
-
-    [victim_entries = 0] disables the store and the engine degenerates
-    to {!Hier_engine} exactly (same RNG draw order, same report). It
-    satisfies {!Engine_intf.S} (registered as ["victima"]). *)
-
-val mechanism : string
-(** ["victima"]. *)
-
-type config = {
-  cache : Ni_cache.config;
-  prefetch : int;  (** Entries fetched per NI miss, >= 1. *)
-  prepin : int;  (** Contiguous pages pinned per check miss, >= 1. *)
-  policy : Replacement.policy;
-  memory_limit_pages : int option;  (** Per-process pinned-page cap. *)
-  victim_entries : int;
-      (** L2 victim-store capacity in lines; 0 disables spilling. *)
-}
-
-val default_config : config
-(** The hierarchical defaults plus a 2 K-line victim store. *)
-
-type t
-
-val create :
-  ?host:Utlb_mem.Host_memory.t ->
-  ?sanitizer:Utlb_sim.Sanitizer.t ->
-  ?obs:Utlb_obs.Scope.t ->
-  ?faults:Utlb_fault.Injector.t ->
-  ?tenancy:Utlb_tenant.Arbiter.t ->
-  seed:int64 ->
-  config ->
-  t
-(** All optional planes behave as in {!Hier_engine.create}; the
-    sanitizer additionally audits the victim store at
-    {!run_invariants} (a recallable line must map a pinned, resident
-    page).
-    @raise Invalid_argument on a non-positive prefetch/prepin, a
-    negative [victim_entries], or an invalid cache geometry. *)
-
-val config : t -> config
-
-val host : t -> Utlb_mem.Host_memory.t
-
-val cache : t -> Ni_cache.t
-
-val classifier : t -> Miss_classifier.t
-
-val add_process : t -> Utlb_mem.Pid.t -> unit
-(** Idempotent. *)
-
-val remove_process : t -> Utlb_mem.Pid.t -> int
-(** Unpins everything the process holds, drops its cache lines and
-    victim-store entries. Returns pages released. *)
-
-val processes : t -> Utlb_mem.Pid.t list
-(** Live processes, ascending pid. *)
-
-val table : t -> Utlb_mem.Pid.t -> Translation_table.t
-(** @raise Invalid_argument for an unknown process. *)
-
-val pinned_pages : t -> Utlb_mem.Pid.t -> int
-
-val victim_population : t -> int
-(** Live lines currently spilled into the victim store. *)
-
-type outcome = {
-  check_miss : bool;
-  pages_pinned : int;
-  pin_calls : int;
-  pages_unpinned : int;
-  unpin_calls : int;
-  ni_accesses : int;
-  ni_misses : int;
-  entries_fetched : int;
-}
-
-val lookup : t -> pid:Utlb_mem.Pid.t -> vpn:int -> npages:int -> outcome
-(** Translate one communication buffer. A recall counts as an NI miss
-    with zero entries fetched.
-    @raise Invalid_argument if [npages < 1]. *)
-
-val is_pinned : t -> pid:Utlb_mem.Pid.t -> vpn:int -> bool
-
-val translate : t -> pid:Utlb_mem.Pid.t -> vpn:int -> int option
-
-val report : t -> label:string -> Report.t
-
-val remove_and_report : t -> label:string -> Report.t
-
-val run_invariants : t -> unit
-
-val stepper : config -> Stepper.semantics
-(** {!Stepper.Victima}: hierarchical pin protocol (the victim store is
-    a host-resident accelerator, so evictions stay harmless). *)
-
-val cost_paths : config -> npages:int -> Stepper.Cost.profile
-(** Worst-case priced control paths of one [npages]-page translation
-    under this configuration, for [utlbcheck bound]
-    ({!Engine_intf.S.cost_paths}). *)
+include module type of struct
+  include Hier_engine
+end

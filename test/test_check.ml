@@ -181,6 +181,42 @@ let test_sanitizer_unpinned_cache_entry () =
   Hier_engine.run_invariants e;
   check_violation "UV05" san
 
+(* The second-level stores are audited too: unpin, behind the engine's
+   back, a page the store still maps, and the UV05 must name the store.
+   [victima] needs a cache small enough to spill: with 64 entries, 200
+   one-page lookups evict (and spill) most of the early pages. *)
+let store_violation ~store config pages =
+  let san = Sanitizer.create ~mode:Sanitizer.Record () in
+  let host = Host_memory.create () in
+  let e = Hier_engine.create ~host ~sanitizer:san ~seed:7L config in
+  List.iter
+    (fun vpn -> ignore (Hier_engine.lookup e ~pid:pid0 ~vpn ~npages:1))
+    pages;
+  List.iter (fun vpn -> Host_memory.unpin host pid0 ~vpn ~count:1) pages;
+  Hier_engine.run_invariants e;
+  let names_store (v : Sanitizer.violation) =
+    let m = v.Sanitizer.message and n = String.length store in
+    let rec at i =
+      i + n <= String.length m && (String.sub m i n = store || at (i + 1))
+    in
+    v.Sanitizer.code = "UV05" && at 0
+  in
+  Alcotest.(check bool)
+    ("UV05 names the " ^ store)
+    true
+    (List.exists names_store (Sanitizer.violations san))
+
+let test_sanitizer_victim_store_unpinned () =
+  store_violation ~store:"victim store"
+    {
+      Victima_engine.default_config with
+      cache = { Ni_cache.entries = 64; associativity = Ni_cache.Direct };
+    }
+    (List.init 200 Fun.id)
+
+let test_sanitizer_restseg_unpinned () =
+  store_violation ~store:"RestSeg" Utopia_engine.default_config [ 100 ]
+
 let test_sanitizer_raise_mode () =
   let san = Sanitizer.create ~mode:Sanitizer.Raise () in
   let e = make_hier ~sanitizer:san () in
@@ -358,6 +394,10 @@ let suite =
       test_sanitizer_stale_cache_entry;
     Alcotest.test_case "sanitizer: unpinned cache entry (UV05)" `Quick
       test_sanitizer_unpinned_cache_entry;
+    Alcotest.test_case "sanitizer: unpinned victim-store line (UV05)" `Quick
+      test_sanitizer_victim_store_unpinned;
+    Alcotest.test_case "sanitizer: unpinned RestSeg slot (UV05)" `Quick
+      test_sanitizer_restseg_unpinned;
     Alcotest.test_case "sanitizer: raise mode throws" `Quick
       test_sanitizer_raise_mode;
     Alcotest.test_case "sanitizer: garbage-frame DMA (UV02)" `Quick

@@ -134,6 +134,30 @@ let prop_prefix_consistency =
           ok)
         lookups)
 
+(* A trace record whose buffer runs past the translation table parses
+   (so the verifier can flag it as UP02), but lenient replay must skip
+   and count it rather than crash any engine. The max-int vpn also
+   checks that the range test cannot overflow. *)
+let test_out_of_range_record_skipped () =
+  let path = Filename.temp_file "utlb-range" ".trace" in
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc "0.000 0 %d 1 S\n1.000 0 5 2 S\n" max_int);
+  let trace, skipped =
+    In_channel.with_open_text path Sim_driver.load_trace_lenient
+  in
+  Sys.remove path;
+  Alcotest.(check int) "one record skipped" 1 skipped;
+  Alcotest.(check int) "one record kept" 1 (Utlb_trace.Trace.length trace);
+  List.iter
+    (fun (e : Sim_driver.Registry.entry) ->
+      let r =
+        Sim_driver.run_packed ~records_skipped:skipped (e.of_params []) trace
+      in
+      Alcotest.(check int) (e.name ^ " lookups") 1 r.Report.lookups;
+      Alcotest.(check int) (e.name ^ " records skipped") 1
+        r.Report.records_skipped)
+    (Sim_driver.Registry.mechanisms ())
+
 (* Engine stress: thousands of events with random delays still fire in
    non-decreasing time order. *)
 let prop_engine_time_order =
@@ -167,6 +191,8 @@ let suite =
       test_many_processes_interleaved;
     Alcotest.test_case "saved trace simulates identically" `Quick
       test_saved_trace_simulates_identically;
+    Alcotest.test_case "out-of-range trace record skipped" `Quick
+      test_out_of_range_record_skipped;
     QCheck_alcotest.to_alcotest prop_mechanism_page_misses_agree;
     QCheck_alcotest.to_alcotest prop_prefix_consistency;
     QCheck_alcotest.to_alcotest prop_engine_time_order;

@@ -1,5 +1,6 @@
 (* The utlbcheck explore pass: clean certificates and DPOR effectiveness
-   for all five registered engines at the default scope, deterministic
+   for the three step semantics at the default scope (victima and utopia
+   step as the hierarchical UTLB, so its row covers them), deterministic
    detection of each seeded protocol mutant (UP20-UP23), rediscovery of
    the UP01-05 corpus by exhaustive search with Protocol agreeing on
    every minimized counterexample, a seeded random-walk differential
@@ -21,8 +22,6 @@ let engines =
     ("utlb", Stepper.Hier { prepin = 1; limit_pages = None });
     ("intr", Stepper.Intr { entries = 8192; limit_pages = None });
     ("per-process", Stepper.Static { processes = 5; share = 1638 });
-    ("victima", Stepper.Victima { prepin = 1; limit_pages = None });
-    ("utopia", Stepper.Utopia { prepin = 1; limit_pages = None });
   ]
 
 (* {2 Clean engines at the default scope} *)
@@ -236,12 +235,6 @@ let test_fuzz_differential () =
           Protocol.Intr { entries = 8; limit_pages = Some 16 } );
         ( Stepper.Static { processes = 2; share = 8 },
           Protocol.Per_process { processes = 2; entries_per_process = 8 } );
-        ( Stepper.Victima { prepin = 4; limit_pages = Some 16 },
-          Protocol.Hier
-            { entries = 8192; prefetch = 1; prepin = 4; limit_pages = Some 16 } );
-        ( Stepper.Utopia { prepin = 4; limit_pages = Some 16 },
-          Protocol.Hier
-            { entries = 8192; prefetch = 1; prepin = 4; limit_pages = Some 16 } );
       ]
     in
     List.iter
