@@ -208,30 +208,47 @@ let tenants_arg =
            unpin/fetch interleavings UP31. The spec itself is linted \
            (UC180-UC184).")
 
-let parse_mech_spec spec =
+(* "name,k=v,..." -> (name, [(k, v); ...]), the --mech/--engine form
+   every subcommand shares. A parameter chunk without '=' is a usage
+   error, never an empty value. *)
+let split_engine_spec spec =
+  let rec params acc = function
+    | [] -> Ok (List.rev acc)
+    | p :: rest -> (
+      match String.index_opt p '=' with
+      | None -> Error (Printf.sprintf "mechanism parameter %S is not k=v" p)
+      | Some i ->
+        params
+          (( String.trim (String.sub p 0 i),
+             String.sub p (i + 1) (String.length p - i - 1) )
+          :: acc)
+          rest)
+  in
   match String.split_on_char ',' spec with
   | [] -> Error "empty mechanism spec"
-  | name :: params ->
-    let rec split acc = function
-      | [] -> Ok (List.rev acc)
-      | p :: rest -> (
-        match String.index_opt p '=' with
-        | None -> Error (Printf.sprintf "mechanism parameter %S is not k=v" p)
-        | Some i ->
-          split
-            ((String.sub p 0 i, String.sub p (i + 1) (String.length p - i - 1))
-            :: acc)
-            rest)
-    in
-    Result.bind (split [] params) (fun params ->
-        Protocol.of_mech ~name:(String.trim name) ~params)
+  | name :: rest ->
+    Result.map (fun ps -> (String.trim name, ps)) (params [] rest)
+
+let semantics_of_spec spec =
+  Result.bind (split_engine_spec spec) (fun (name, params) ->
+      Protocol.of_mech ~name ~params)
+
+(* --config FILE: the parsed configuration, whose syntax findings
+   become the run's base findings. *)
+let load_config base_findings path =
+  Result.map
+    (fun (cfg, parse_findings) ->
+      base_findings := parse_findings;
+      cfg)
+    (Config_file.parse_file path)
+
+let config_semantics cfg = [ Protocol.of_packed (Config_file.packed cfg) ]
 
 let verify_main inputs config mech workloads hbs tenants strict explain quiet
     format =
   match explain_exit explain with
   | Some code -> code
   | None ->
-  let usage_error = ref None in
   let unreadable = ref false in
   let base_findings = ref [] in
   (* The tenancy spec is itself an input: a bad spec is a UC180
@@ -260,27 +277,16 @@ let verify_main inputs config mech workloads hbs tenants strict explain quiet
   in
   let sems =
     match (mech, config) with
-    | Some spec, _ -> (
-      match parse_mech_spec spec with
-      | Ok sem -> [ sem ]
-      | Error msg ->
-        usage_error := Some msg;
-        [])
-    | None, Some path -> (
-      match Config_file.parse_file path with
-      | Error msg ->
-        usage_error := Some msg;
-        []
-      | Ok (cfg, parse_findings) ->
-        base_findings := parse_findings;
-        [ Protocol.of_config cfg ])
-    | None, None -> Protocol.defaults
+    | Some spec, _ -> Result.map (fun sem -> [ sem ]) (semantics_of_spec spec)
+    | None, Some path ->
+      Result.map config_semantics (load_config base_findings path)
+    | None, None -> Ok Protocol.defaults
   in
-  match !usage_error with
-  | Some msg ->
+  match sems with
+  | Error msg ->
     Format.eprintf "utlbcheck: %s@." msg;
     2
-  | None ->
+  | Ok sems ->
     if inputs = [] && hbs = [] && not workloads then begin
       Format.eprintf
         "utlbcheck: nothing to verify (give grids, traces, --workloads, or \
@@ -489,47 +495,19 @@ let explore_main engines config trace_in procs pages sets requests page_cap
         List.fold_left
           (fun acc spec ->
             Result.bind acc (fun sems ->
-                let name, params =
-                  match String.index_opt spec ',' with
-                  | None -> (String.trim spec, [])
-                  | Some i ->
-                    ( String.trim (String.sub spec 0 i),
-                      String.sub spec (i + 1) (String.length spec - i - 1)
-                      |> String.split_on_char ','
-                      |> List.map (fun p ->
-                             match String.index_opt p '=' with
-                             | None -> (String.trim p, "")
-                             | Some j ->
-                               ( String.trim (String.sub p 0 j),
-                                 String.sub p (j + 1)
-                                   (String.length p - j - 1) )) )
-                in
-                Result.map
-                  (fun sem -> (name, sem) :: sems)
-                  (Explore.semantics_of_mech ~name ~params)))
+                Result.map (fun sem -> sem :: sems) (semantics_of_spec spec)))
           (Ok []) engines
         |> Result.map List.rev
       | [] -> (
         match config with
-        | Some path -> (
-          match Config_file.parse_file path with
-          | Error msg -> Error msg
-          | Ok (cfg, parse_findings) ->
-            base_findings := parse_findings;
-            Ok
-              [
-                ( Config_file.engine_name cfg.Config_file.engine,
-                  Explore.semantics_of_config cfg );
-              ])
+        | Some path ->
+          Result.map config_semantics (load_config base_findings path)
         | None ->
           Ok
             (List.filter_map
                (fun (entry : Utlb.Sim_driver.Registry.entry) ->
-                 match
-                   Explore.semantics_of_mech ~name:entry.name ~params:[]
-                 with
-                 | Ok sem -> Some (entry.name, sem)
-                 | Error _ -> None)
+                 Result.to_option
+                   (Protocol.of_mech ~name:entry.name ~params:[]))
                (Utlb.Sim_driver.Registry.mechanisms ())))
     in
     let* program =
@@ -551,7 +529,9 @@ let explore_main engines config trace_in procs pages sets requests page_cap
     let econfig = { Explore.scope; max_depth = depth; budget } in
     let results =
       List.map
-        (fun (label, sem) -> Explore.explore ~config:econfig ~label sem)
+        (fun (sem : Protocol.semantics) ->
+          Explore.explore ~config:econfig ~label:sem.Protocol.label
+            sem.Protocol.stepper)
         sems
     in
     (* Stats go to stderr so --format json stays a pure finding array
@@ -740,20 +720,6 @@ let sanitize_label label =
                | _ -> '/')
              label)))
 
-let split_engine_spec spec =
-  match String.index_opt spec ',' with
-  | None -> (String.trim spec, [])
-  | Some i ->
-    ( String.trim (String.sub spec 0 i),
-      String.sub spec (i + 1) (String.length spec - i - 1)
-      |> String.split_on_char ','
-      |> List.map (fun p ->
-             match String.index_opt p '=' with
-             | None -> (String.trim p, "")
-             | Some j ->
-               ( String.trim (String.sub p 0 j),
-                 String.sub p (j + 1) (String.length p - j - 1) )) )
-
 let workloads_npages () =
   List.fold_left
     (fun acc (spec : Utlb_trace.Workloads.spec) ->
@@ -858,28 +824,26 @@ let bound_main grids engines config slo npages procs faults tenants workloads
       List.fold_left
         (fun acc spec ->
           Result.bind acc (fun bounds ->
-              let name, params = split_engine_spec spec in
-              Result.map
-                (fun b -> b :: bounds)
-                (Bound.analyze_mech ~faults ?tenants:cli_tenants ~slo ~npages
-                   ~processes:procs ~name ~params ())))
+              Result.bind (split_engine_spec spec) (fun (name, params) ->
+                  Result.map
+                    (fun b -> b :: bounds)
+                    (Bound.analyze_mech ~faults ?tenants:cli_tenants ~slo
+                       ~npages ~processes:procs ~name ~params ()))))
         (Ok []) engines
       |> Result.map List.rev
     in
     let* config_bounds =
       match config with
       | None -> Ok []
-      | Some path -> (
-        match Config_file.parse_file path with
-        | Error msg -> Error msg
-        | Ok (cfg, parse_findings) ->
-          base_findings := parse_findings;
-          let packed, model = Bound.of_config cfg in
-          Ok
+      | Some path ->
+        Result.map
+          (fun cfg ->
+            let packed, model = Bound.of_config cfg in
             [
               analyze_tenanted ~model ~tenants:cli_tenants packed
                 ~label:(Config_file.engine_name cfg.Config_file.engine);
             ])
+          (load_config base_findings path)
     in
     let default_bounds =
       if grids <> [] || engines <> [] || config <> None then []

@@ -348,41 +348,7 @@ let analyze_mech ?model ?faults ?tenants ?slo ?npages ?processes ~name ~params
 
 (* {2 Config files} *)
 
-let pages_of_mb mb = mb * 1024 * 1024 / Utlb_mem.Addr.page_size
-
 let of_config (config : Config_file.t) =
-  let cache =
-    {
-      Utlb.Ni_cache.entries = config.entries;
-      associativity = config.associativity;
-    }
-  in
-  let memory_limit_pages = Option.map pages_of_mb config.limit_mb in
-  let packed =
-    match config.engine with
-    | Config_file.Utlb ->
-      Utlb.Engine_intf.Packed
-        ( (module Utlb.Hier_engine),
-          {
-            Utlb.Hier_engine.cache;
-            prefetch = config.prefetch;
-            prepin = config.prepin;
-            policy = config.policy;
-            memory_limit_pages;
-            store = Utlb.Hier_engine.No_store;
-          } )
-    | Config_file.Intr ->
-      Utlb.Engine_intf.Packed
-        ((module Utlb.Intr_engine), { Utlb.Intr_engine.cache; memory_limit_pages })
-    | Config_file.Per_process ->
-      Utlb.Engine_intf.Packed
-        ( (module Utlb.Pp_engine),
-          {
-            Utlb.Pp_engine.sram_budget_entries = config.sram_budget_entries;
-            processes = config.processes;
-            policy = config.policy;
-          } )
-  in
   (* Malformed anchor lists fall back to the paper defaults here; the
      configuration linter reports them with UC14x codes separately. *)
   let table anchors =
@@ -402,7 +368,7 @@ let of_config (config : Config_file.t) =
       ?check_max_table:(table config.check_max_table)
       ()
   in
-  (packed, model)
+  (Config_file.packed config, model)
 
 (* {2 Witness targets} *)
 

@@ -121,9 +121,10 @@ val analyze_mech :
     malformed parameters. *)
 
 val of_config : Config_file.t -> Utlb.Engine_intf.packed * Utlb.Cost_model.t
-(** The packed engine and cost model a parsed configuration file
-    declares (cost tables that fail to construct fall back to the
-    paper defaults; {!Config_lint} reports them separately). *)
+(** The packed engine ({!Config_file.packed}) and cost model a parsed
+    configuration file declares (cost tables that fail to construct
+    fall back to the paper defaults; {!Config_lint} reports them
+    separately). *)
 
 val witness_target : Utlb.Stepper.scope -> t -> int
 (** The pinned bound clamped to an exploration scope: what a concrete

@@ -41,8 +41,8 @@ type t = {
   faults : string option;
 }
 
-(* Paper defaults, matching Cost_model.default and the engines'
-   default_config values. *)
+(* Paper defaults, matching Cost_model.default and the registry's
+   defaults (test_verify.ml holds [packed] of each engine to them). *)
 let default =
   {
     source = "<default>";
@@ -74,6 +74,39 @@ let default =
       [ (1, 0.4); (2, 0.6); (4, 0.6); (8, 0.6); (16, 0.6); (32, 0.7) ];
     faults = None;
   }
+
+let packed config =
+  let cache =
+    { Ni_cache.entries = config.entries; associativity = config.associativity }
+  in
+  let memory_limit_pages =
+    Option.map (fun mb -> mb * 1024 * 1024 / Utlb_mem.Addr.page_size)
+      config.limit_mb
+  in
+  match config.engine with
+  | Utlb ->
+    Utlb.Engine_intf.Packed
+      ( (module Utlb.Hier_engine),
+        {
+          Utlb.Hier_engine.cache;
+          prefetch = config.prefetch;
+          prepin = config.prepin;
+          policy = config.policy;
+          memory_limit_pages;
+          store = Utlb.Hier_engine.No_store;
+        } )
+  | Intr ->
+    Utlb.Engine_intf.Packed
+      ( (module Utlb.Intr_engine),
+        { Utlb.Intr_engine.cache; memory_limit_pages } )
+  | Per_process ->
+    Utlb.Engine_intf.Packed
+      ( (module Utlb.Pp_engine),
+        {
+          Utlb.Pp_engine.sram_budget_entries = config.sram_budget_entries;
+          processes = config.processes;
+          policy = config.policy;
+        } )
 
 (* Anchor-table syntax: "1:27, 2:30.5, 4:36". *)
 let parse_anchors s =

@@ -59,6 +59,12 @@ type t = {
 val default : t
 (** The paper-default Hierarchical-UTLB configuration. *)
 
+val packed : t -> Utlb.Engine_intf.packed
+(** The engine this configuration selects, built with its capacity
+    parameters — the one mapping from a config file to an engine. The
+    cost-model fields are not part of the engine ({!Bound.of_config}
+    reads them). *)
+
 val parse_string : ?source:string -> string -> t * Finding.t list
 (** Parse config text. Syntactic problems (unparseable lines, bad
     values, unknown or duplicate keys) are returned as findings; the

@@ -35,37 +35,33 @@
       streaming them (the hazard UV04/UV05 guard at runtime);
     - [UP00] a trace line that does not parse ({!verify_file} only).
 
+    The codes come from {!Utlb.Stepper.admission}, the rule
+    [utlbcheck explore] fires at every issue; this pass adds the page
+    lattice, line numbers and one report per (code, process).
     Must-findings are [Error], may-findings are [Warning]; both carry
     the 1-based trace line number. *)
 
-type model =
-  | Hier of {
-      entries : int;  (** Shared UTLB-Cache entries. *)
-      prefetch : int;
-      prepin : int;
-      limit_pages : int option;  (** Per-process pinned-page limit. *)
-    }
-  | Intr of { entries : int; limit_pages : int option }
-  | Per_process of { processes : int; entries_per_process : int }
+type semantics = { stepper : Utlb.Stepper.semantics; label : string }
+(** The engine's own step-level semantics ({!Utlb.Engine_intf.S.stepper})
+    plus a report label: the admission rule ({!Utlb.Stepper.admission})
+    and the capacities the lattice needs all come from it. *)
 
-type semantics = { model : model; label : string }
-
-val of_config : Config_file.t -> semantics
-(** Declared semantics of a parsed configuration (the engine selection
-    plus the capacity parameters the abstract transfer functions
-    need). *)
+val of_packed : ?label:string -> Utlb.Engine_intf.packed -> semantics
+(** The semantics a packed engine configuration runs (default label:
+    the engine's {!Utlb.Engine_intf.S.mechanism}). A configuration
+    file models as [of_packed (Config_file.packed cfg)]. *)
 
 val of_mech :
   name:string -> params:(string * string) list -> (semantics, string) result
-(** Semantics of a campaign mechanism point, mirroring the
-    {!Utlb.Sim_driver.Registry} parameter names and defaults
-    ([entries], [prefetch], [prepin], [limit-mb], [budget],
-    [processes]). [Error] on an unknown mechanism or a malformed
-    integer parameter. *)
+(** Semantics of a campaign mechanism point: the engine
+    {!Utlb.Sim_driver.Registry} builds from [params], labelled [name],
+    so a grid cell is modelled with exactly the capacities its
+    simulation runs with. [Error] on an unknown mechanism or a
+    parameter the registry rejects. *)
 
 val defaults : semantics list
-(** The three paper-default engines ({!of_config} of
-    {!Config_file.default} per engine selection). *)
+(** {!of_mech} of [utlb], [intr] and [per-process] with no
+    parameters: the three paper-default engines. *)
 
 (** {2 Abstract state} *)
 
@@ -78,10 +74,11 @@ type page = Garbage | Pinned of int | Unpinned | Top
 
 type state
 
-val init : model -> state
+val init : Utlb.Stepper.semantics -> state
 
 val step : state -> line:int -> Utlb_trace.Record.t -> Finding.t list
-(** Abstractly execute one record: admission and capacity checks, then
+(** Abstractly execute one record: {!Utlb.Stepper.admission} (each
+    (code, process) reported once, at its first record), then
     the span (and, for hier, its pre-pin window) joins into the page
     lattice and the \[lo, hi\] pinned interval; a population bound
     overflow demotes possible victims to [Top]. Returned findings

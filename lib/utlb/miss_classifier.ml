@@ -31,7 +31,10 @@ type t = {
 }
 
 (* Packed map key; vpns are bounded by the 20-bit paper address space,
-   so a 32-bit field leaves lots of slack. *)
+   so a 32-bit field leaves lots of slack. The pid takes the bits above
+   it, and Flat_map keys must stay non-negative. *)
+let max_pid = max_int lsr 32
+
 let pack ~pid ~vpn = (pid lsl 32) lor vpn
 
 let create ~capacity =

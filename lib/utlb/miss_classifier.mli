@@ -17,6 +17,10 @@ val kind_name : kind -> string
 
 type t
 
+val max_pid : int
+(** Largest pid the classifier can key ([2^30 - 1] with 63-bit ints):
+    (pid, vpn) pairs are packed into one non-negative int. *)
+
 val create : capacity:int -> t
 (** [capacity] = the real cache's entry count.
     @raise Invalid_argument if not positive. *)

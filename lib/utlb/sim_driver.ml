@@ -24,10 +24,19 @@ let src =
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-(* A record parses whatever its vpn, but a buffer that runs past the
-   translation table has no translation on any engine: skip it too.
-   The test is written so that it cannot overflow. *)
-let in_table (r : Record.t) = r.vpn <= Translation_table.max_vpn - r.npages + 1
+(* A record parses whatever its vpn and pid, but no engine can replay
+   one whose buffer runs past the translation table (the test cannot
+   overflow) or whose pid does not fit the miss classifier's keys. *)
+let unreplayable (r : Record.t) =
+  if Utlb_mem.Pid.to_int r.pid > Miss_classifier.max_pid then
+    Some
+      (Printf.sprintf "pid exceeds the largest supported pid (%d)"
+         Miss_classifier.max_pid)
+  else if r.vpn > Translation_table.max_vpn - r.npages + 1 then
+    Some
+      (Printf.sprintf "buffer runs past the translation table (max vpn %#x)"
+         Translation_table.max_vpn)
+  else None
 
 let load_trace_lenient ic =
   let trace, skipped =
@@ -37,18 +46,21 @@ let load_trace_lenient ic =
       ic
   in
   let records = Trace.records trace in
-  if Array.for_all in_table records then (trace, skipped)
+  if Array.for_all (fun r -> unreplayable r = None) records then
+    (trace, skipped)
   else begin
-    let kept, out = List.partition in_table (Array.to_list records) in
-    List.iter
+    let kept = ref [] and out = ref 0 in
+    Array.iter
       (fun r ->
-        Log.warn (fun m ->
-            m
-              "skipping malformed trace record: %S: buffer runs past the \
-               translation table (max vpn %#x)"
-              (Record.to_string r) Translation_table.max_vpn))
-      out;
-    (Trace.of_records (Array.of_list kept), skipped + List.length out)
+        match unreplayable r with
+        | None -> kept := r :: !kept
+        | Some why ->
+          incr out;
+          Log.warn (fun m ->
+              m "skipping malformed trace record: %S: %s" (Record.to_string r)
+                why))
+      records;
+    (Trace.of_records (Array.of_list (List.rev !kept)), skipped + !out)
   end
 
 let run_packed ?(seed = default_seed) ?sanitizer ?obs ?faults ?tenancy

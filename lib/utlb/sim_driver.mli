@@ -33,8 +33,9 @@ val default_seed : int64
 val load_trace_lenient : in_channel -> Utlb_trace.Trace.t * int
 (** {!Utlb_trace.Trace.load_lenient} with each skipped record logged
     as a warning on the ["utlb.driver"] [Logs] source. A record whose
-    buffer runs past {!Translation_table.max_vpn} is skipped too: no
-    engine can translate it. Returns the trace and the skip count
+    buffer runs past {!Translation_table.max_vpn}, or whose pid exceeds
+    {!Miss_classifier.max_pid}, is skipped too: no engine can replay
+    it. Returns the trace and the skip count
     (pass it to [run_packed]'s [?records_skipped] so the report
     remembers). *)
 

@@ -199,7 +199,7 @@ let first_xfer_sub = function
 
 (* {2 Violations} *)
 
-type severity = Error | Warning
+type severity = Utlb_sim.Sanitizer.severity = Info | Warning | Error
 
 type violation = {
   code : string;
@@ -210,71 +210,81 @@ type violation = {
 
 let max_vpn = Translation_table.max_vpn
 
-(* Issue-time admission checks mirror Utlb_check.Protocol.step exactly
-   (the differential fuzz test in test_explore.ml holds them to it). *)
-let issue_checks sem st pid (req : request) =
-  let n = req.npages in
-  let viols = ref [] in
-  let emit ?(severity = Error) code fmt =
-    Printf.ksprintf
-      (fun message -> viols := { code; pid; severity; message } :: !viols)
-      fmt
+let violation ?(severity = Error) ~pid code fmt =
+  Printf.ksprintf (fun message -> { code; pid; severity; message }) fmt
+
+let up01 ~pid n l =
+  if n > l then
+    [
+      violation ~pid "UP01"
+        "record pins %d pages at once but the per-process limit is %d \
+         pages; in-flight pages are protected from eviction, so the engine \
+         must break the limit"
+        n l;
+    ]
+  else []
+
+(* The admission rule. [distinct] counts the processes that issued
+   before this request and [fresh] says [pid] is not one of them: the
+   per-process tables are carved once, so a new process past the carve
+   has no table. *)
+let admission sem ~distinct ~fresh ~pid ~vpn ~npages:n =
+  let up02 =
+    if vpn + n - 1 > max_vpn then
+      [
+        violation ~pid "UP02"
+          "buffer [%#x, %#x] extends past the translation table (max vpn \
+           %#x); the NI dereferences the garbage frame"
+          vpn (vpn + n - 1) max_vpn;
+      ]
+    else []
   in
-  if req.vpn + n - 1 > max_vpn then
-    emit "UP02"
-      "buffer [%#x, %#x] extends past the translation table (max vpn %#x); \
-       the NI dereferences the garbage frame"
-      req.vpn
-      (req.vpn + n - 1)
-      max_vpn;
-  (match sem with
-  | Hier { prepin; limit_pages } -> (
-    match limit_pages with
-    | None -> ()
-    | Some l ->
-      if n > l then
-        emit "UP01"
-          "record pins %d pages at once but the per-process limit is %d \
-           pages; in-flight pages are protected from eviction, so the \
-           engine must break the limit"
-          n l
-      else if prepin > 1 && n + prepin - 1 > l then
-        emit ~severity:Warning "UP05"
+  up02
+  @
+  match sem with
+  | Hier { limit_pages = None; _ } -> []
+  | Hier { prepin; limit_pages = Some l } ->
+    if n > l then up01 ~pid n l
+    else if prepin > 1 && n + prepin - 1 > l then
+      [
+        violation ~severity:Warning ~pid "UP05"
           "buffer of %d pages fits the %d-page limit but its pre-pin window \
            (%d) reaches %d pages; replacement may invalidate NI entries of \
            the in-flight buffer"
           n l prepin
-          (n + prepin - 1))
-  | Intr { entries; limit_pages } -> (
-    if n > entries then
-      emit "UP03"
-        "buffer of %d pages is wider than the %d-entry cache; under cached \
-         = pinned, self-conflict eviction unpins the first %d page(s) while \
-         their transfer is in flight"
-        n entries (n - entries);
-    match limit_pages with
-    | Some l when n > l ->
-      emit "UP01"
-        "record pins %d pages at once but the per-process limit is %d \
-         pages; in-flight pages are protected from eviction, so the engine \
-         must break the limit"
-        n l
-    | _ -> ())
+          (n + prepin - 1);
+      ]
+    else []
+  | Intr { entries; limit_pages } ->
+    (if n > entries then
+       [
+         violation ~pid "UP03"
+           "buffer of %d pages is wider than the %d-entry cache; under \
+            cached = pinned, self-conflict eviction unpins the first %d \
+            page(s) while their transfer is in flight"
+           n entries (n - entries);
+       ]
+     else [])
+    @ Option.fold ~none:[] ~some:(up01 ~pid n) limit_pages
   | Static { processes; share } ->
-    if (not (List.mem pid st.seen)) && List.length st.seen >= processes then
-      emit "UP04"
-        "process %d is distinct process number %d but only %d per-process \
-         tables are carved; the engine aborts"
-        pid
-        (List.length st.seen + 1)
-        processes;
+    (if fresh && distinct >= processes then
+       [
+         violation ~pid "UP04"
+           "process %d is distinct process number %d but only %d \
+            per-process tables are carved; the engine aborts"
+           pid (distinct + 1) processes;
+       ]
+     else [])
+    @
     if n > share then
-      emit "UP04"
-        "buffer of %d pages is wider than the %d-entry per-process table \
-         share; every index is protected, eviction cannot free one, and \
-         the engine aborts"
-        n share);
-  List.rev !viols
+      [
+        violation ~pid "UP04"
+          "buffer of %d pages is wider than the %d-entry per-process table \
+           share; every index is protected, eviction cannot free one, and \
+           the engine aborts"
+          n share;
+      ]
+    else []
 
 (* {2 Enabled actions} *)
 
@@ -408,7 +418,11 @@ let step_activity st pid f =
 let apply scope sem st action =
   match action with
   | Issue { pid; req } ->
-    let viols = issue_checks sem st pid req in
+    let viols =
+      admission sem ~distinct:(List.length st.seen)
+        ~fresh:(not (List.mem pid st.seen))
+        ~pid ~vpn:req.vpn ~npages:req.npages
+    in
     let stepped = max 1 (min req.npages scope.page_cap) in
     let act =
       Some

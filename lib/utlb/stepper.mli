@@ -29,7 +29,8 @@
     which enabled action to fire.
 
     Violations surface in three places: at [issue] (the admission
-    checks, mirroring {!Utlb_check.Protocol} — UP01-UP05), at [apply]
+    rule {!admission}, UP01-UP05, which {!Utlb_check.Protocol} also
+    runs on every trace record), at [apply]
     of a racing action (UP23), and at terminal states
     ({!terminal_violations} — UP20 deadlock, UP21 pin leak, UP22
     non-quiescence). The [mutant] knob seeds one protocol bug at a
@@ -165,7 +166,9 @@ val capacity : semantics -> int
 
 (** {2 The step relation} *)
 
-type severity = Error | Warning
+type severity = Utlb_sim.Sanitizer.severity = Info | Warning | Error
+(** The findings' severity; the step relation emits [Error] (must) and
+    [Warning] (may) only. *)
 
 type violation = {
   code : string;  (** UP01-UP05, UP20-UP23 ({!Utlb_check.Catalogue}). *)
@@ -173,6 +176,23 @@ type violation = {
   severity : severity;
   message : string;
 }
+
+val admission :
+  semantics ->
+  distinct:int ->
+  fresh:bool ->
+  pid:int ->
+  vpn:int ->
+  npages:int ->
+  violation list
+(** The admission rule every request passes at [Issue] (UP01-UP05):
+    the buffer must fit the translation table (UP02), the memory limit
+    (UP01; UP05 for the pre-pin window), the interrupt cache (UP03),
+    and the carved per-process tables (UP04). [distinct] counts the
+    processes that issued before this request and [fresh] says [pid]
+    is not among them. This function is the rule itself: {!apply} and
+    {!Utlb_check.Protocol.step} both call it. Violations come in a
+    fixed order, UP02 first. *)
 
 val enabled : scope -> semantics -> state -> action list
 (** All actions the protocol allows from [st], deterministically

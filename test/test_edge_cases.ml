@@ -134,14 +134,13 @@ let prop_prefix_consistency =
           ok)
         lookups)
 
-(* A trace record whose buffer runs past the translation table parses
-   (so the verifier can flag it as UP02), but lenient replay must skip
-   and count it rather than crash any engine. The max-int vpn also
-   checks that the range test cannot overflow. *)
-let test_out_of_range_record_skipped () =
+(* Lenient replay of [bad] (one record no engine can replay) followed
+   by [good] (one that every engine must replay): the bad record is
+   skipped and counted on every registry engine, never a crash. *)
+let check_skips_bad_record ~bad ~good =
   let path = Filename.temp_file "utlb-range" ".trace" in
   Out_channel.with_open_text path (fun oc ->
-      Printf.fprintf oc "0.000 0 %d 1 S\n1.000 0 5 2 S\n" max_int);
+      Printf.fprintf oc "%s\n%s\n" bad good);
   let trace, skipped =
     In_channel.with_open_text path Sim_driver.load_trace_lenient
   in
@@ -157,6 +156,22 @@ let test_out_of_range_record_skipped () =
       Alcotest.(check int) (e.name ^ " records skipped") 1
         r.Report.records_skipped)
     (Sim_driver.Registry.mechanisms ())
+
+(* A trace record whose buffer runs past the translation table parses
+   (so the verifier can flag it as UP02), but lenient replay must skip
+   and count it. The max-int vpn also checks that the range test cannot
+   overflow. *)
+let test_out_of_range_record_skipped () =
+  check_skips_bad_record
+    ~bad:(Printf.sprintf "0.000 0 %d 1 S" max_int)
+    ~good:"1.000 0 5 2 S"
+
+(* Pids past Miss_classifier.max_pid do not fit its packed keys; the
+   largest pid that does must still replay. *)
+let test_oversized_pid_record_skipped () =
+  check_skips_bad_record
+    ~bad:(Printf.sprintf "0.000 %d 0 1 S" (Miss_classifier.max_pid + 1))
+    ~good:(Printf.sprintf "1.000 %d 5 2 S" Miss_classifier.max_pid)
 
 (* Engine stress: thousands of events with random delays still fire in
    non-decreasing time order. *)
@@ -193,6 +208,8 @@ let suite =
       test_saved_trace_simulates_identically;
     Alcotest.test_case "out-of-range trace record skipped" `Quick
       test_out_of_range_record_skipped;
+    Alcotest.test_case "oversized pid trace record skipped" `Quick
+      test_oversized_pid_record_skipped;
     QCheck_alcotest.to_alcotest prop_mechanism_page_misses_agree;
     QCheck_alcotest.to_alcotest prop_prefix_consistency;
     QCheck_alcotest.to_alcotest prop_engine_time_order;

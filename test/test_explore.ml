@@ -148,17 +148,16 @@ let corpus_semantics conf =
   match conf with
   | Some c -> (
       match Config_file.parse_file (Filename.concat corpus_dir c) with
-      | Ok (cfg, _) ->
-          (Explore.semantics_of_config cfg, Protocol.of_config cfg)
+      | Ok (cfg, _) -> Protocol.of_packed (Config_file.packed cfg)
       | Error e -> failwith e)
-  | None ->
-      (Stepper.Hier { prepin = 1; limit_pages = None }, List.hd Protocol.defaults)
+  | None -> List.hd Protocol.defaults
 
 let test_corpus_rediscovery () =
   List.iter
     (fun (name, conf, trace, expected) ->
       let records = load_records (Filename.concat corpus_dir trace) in
-      let sem, psem = corpus_semantics conf in
+      let psem = corpus_semantics conf in
+      let sem = psem.Protocol.stepper in
       let scope =
         {
           Stepper.default_scope with
@@ -202,9 +201,12 @@ let test_corpus_rediscovery () =
 (* {2 Differential fuzz: Stepper vs Protocol} *)
 
 (* Seeded random traces explored in trace mode must admit exactly the
-   UP0x codes the static verifier reports, and never a spurious UP2x:
-   the honest engines' step semantics and the abstract interpreter are
-   two independent encodings of the same protocol. *)
+   UP0x codes the static verifier reports, and never a spurious UP2x.
+   Both run the one admission rule (Stepper.admission), so this holds
+   the two drivers to it: the explorer's per-issue bookkeeping (seen
+   processes, program order) against the verifier's (per-pid
+   de-duplication, line order). test_verify.ml's refinement test checks
+   the engines against the same rule. *)
 let test_fuzz_differential () =
   let rng = Random.State.make [| 0x5EED |] in
   for case = 1 to 40 do
@@ -226,19 +228,15 @@ let test_fuzz_differential () =
             ~vpn ~npages
             ~op:(if Random.State.int rng 2 = 0 then Record.Send else Record.Fetch))
     in
-    let pairs =
+    let rows =
       [
-        ( Stepper.Hier { prepin = 4; limit_pages = Some 16 },
-          Protocol.Hier
-            { entries = 8192; prefetch = 1; prepin = 4; limit_pages = Some 16 } );
-        ( Stepper.Intr { entries = 8; limit_pages = Some 16 },
-          Protocol.Intr { entries = 8; limit_pages = Some 16 } );
-        ( Stepper.Static { processes = 2; share = 8 },
-          Protocol.Per_process { processes = 2; entries_per_process = 8 } );
+        Stepper.Hier { prepin = 4; limit_pages = Some 16 };
+        Stepper.Intr { entries = 8; limit_pages = Some 16 };
+        Stepper.Static { processes = 2; share = 8 };
       ]
     in
     List.iter
-      (fun (ssem, pmodel) ->
+      (fun ssem ->
         let scope =
           {
             Stepper.default_scope with
@@ -258,7 +256,7 @@ let test_fuzz_differential () =
         in
         let pf =
           Protocol.verify_records
-            { Protocol.model = pmodel; Protocol.label = "fuzz" }
+            { Protocol.stepper = ssem; label = "fuzz" }
             (List.mapi (fun i rec_ -> (i + 1, rec_)) records)
         in
         let tag =
@@ -266,7 +264,7 @@ let test_fuzz_differential () =
         in
         Alcotest.(check (list string)) (tag ^ " UP0x agree") (codes pf) up0x;
         Alcotest.(check (list string)) (tag ^ " no spurious UP2x") [] up2x)
-      pairs
+      rows
   done
 
 (* {2 Catalogue coverage} *)

@@ -8,6 +8,7 @@ module Finding = Utlb_check.Finding
 module Catalogue = Utlb_check.Catalogue
 module Config_file = Utlb_check.Config_file
 module Protocol = Utlb_check.Protocol
+module Stepper = Utlb.Stepper
 module Hb = Utlb_check.Hb
 module Event = Utlb_obs.Event
 module Reader = Utlb_obs.Reader
@@ -135,10 +136,9 @@ let test_config_empty () =
 let record ?(t = 0.0) ~pid ~vpn ~npages () =
   Record.make ~time_us:t ~pid:(Pid.of_int pid) ~vpn ~npages ~op:Record.Send
 
-let hier ?(entries = 8192) ?(prefetch = 1) ?(prepin = 1) ?limit () =
+let hier ?(prepin = 1) ?limit () =
   {
-    Protocol.model =
-      Protocol.Hier { entries; prefetch; prepin; limit_pages = limit };
+    Protocol.stepper = Stepper.Hier { prepin; limit_pages = limit };
     label = "utlb";
   }
 
@@ -191,7 +191,7 @@ let test_protocol_up02 () =
 
 let test_protocol_up03 () =
   let sem =
-    { Protocol.model = Protocol.Intr { entries = 1024; limit_pages = None };
+    { Protocol.stepper = Stepper.Intr { entries = 1024; limit_pages = None };
       label = "intr" }
   in
   let fs = verify sem [ record ~pid:0 ~vpn:0 ~npages:2000 () ] in
@@ -202,8 +202,7 @@ let test_protocol_up03 () =
 let test_protocol_up04 () =
   let sem =
     {
-      Protocol.model =
-        Protocol.Per_process { processes = 2; entries_per_process = 4096 };
+      Protocol.stepper = Stepper.Static { processes = 2; share = 4096 };
       label = "per-process";
     }
   in
@@ -229,7 +228,7 @@ let test_protocol_up05 () =
     (codes (verify sem [ record ~pid:0 ~vpn:0 ~npages:100 () ]))
 
 let test_protocol_lattice () =
-  let state = Protocol.init (hier ~limit:256 ()).Protocol.model in
+  let state = Protocol.init (hier ~limit:256 ()).Protocol.stepper in
   Alcotest.(check bool) "initially garbage" true
     (Protocol.page_state state ~pid:0 ~vpn:16 = Protocol.Garbage);
   let _ = Protocol.step state ~line:1 (record ~pid:0 ~vpn:16 ~npages:4 ()) in
@@ -247,7 +246,7 @@ let test_protocol_lattice () =
   (* The intr pigeonhole leaves the head of the span provably
      unpinned. *)
   let state =
-    Protocol.init (Protocol.Intr { entries = 1024; limit_pages = None })
+    Protocol.init (Stepper.Intr { entries = 1024; limit_pages = None })
   in
   let _ = Protocol.step state ~line:1 (record ~pid:0 ~vpn:0 ~npages:1030 ()) in
   Alcotest.(check bool) "head unpinned" true
@@ -257,7 +256,7 @@ let test_protocol_lattice () =
 
 let test_protocol_of_mech () =
   (match Protocol.of_mech ~name:"utlb" ~params:[ ("limit-mb", "1") ] with
-  | Ok { Protocol.model = Protocol.Hier { limit_pages = Some 256; _ }; _ } ->
+  | Ok { Protocol.stepper = Stepper.Hier { limit_pages = Some 256; _ }; _ } ->
     ()
   | _ -> Alcotest.fail "utlb limit-mb=1 should model as 256 pages");
   (match Protocol.of_mech ~name:"nonesuch" ~params:[] with
@@ -293,6 +292,85 @@ let test_protocol_verify_grid () =
   | Ok grid ->
     Alcotest.(check (list string)) "shipped-style grid is clean" []
       (codes (Protocol.verify_grid grid))
+
+(* {2 One spec per engine} *)
+
+module Registry = Utlb.Sim_driver.Registry
+
+let stepper_of packed = (Protocol.of_packed packed).Protocol.stepper
+
+(* The config-file defaults and the registry defaults build the same
+   engine, and every registry engine models for [verify]. *)
+let test_defaults_agree () =
+  List.iter
+    (fun engine ->
+      let name = Config_file.engine_name engine in
+      match Registry.find name with
+      | None -> Alcotest.failf "%s is not registered" name
+      | Some entry ->
+        Alcotest.(check bool)
+          (name ^ " config default = registry default")
+          true
+          (stepper_of (Config_file.packed { Config_file.default with engine })
+          = stepper_of (entry.of_params [])))
+    [ Config_file.Utlb; Config_file.Intr; Config_file.Per_process ];
+  List.iter
+    (fun (entry : Registry.entry) ->
+      match Protocol.of_mech ~name:entry.name ~params:[] with
+      | Ok sem ->
+        Alcotest.(check bool)
+          (entry.name ^ " models as its stepper")
+          true
+          (sem.Protocol.stepper = stepper_of (entry.of_params []))
+      | Error msg -> Alcotest.failf "%s does not model: %s" entry.name msg)
+    (Registry.mechanisms ())
+
+(* Refinement: each registry engine, replaying the paper workloads one
+   lookup at a time on a host the test shares, keeps every process's
+   pinned population within its Stepper capacity, except after a record
+   the admission rule flags as forcing the limit (UP01), the pigeonhole
+   (UP03) or a table overflow (UP04). A 1 MB limit (256 pages) forces
+   replacement on the limited engines; per-process runs at its
+   defaults. *)
+let test_engines_refine_admission () =
+  let breaks = [ "UP01"; "UP03"; "UP04" ] in
+  let seed = Utlb.Sim_driver.default_seed in
+  List.iter
+    (fun (entry : Registry.entry) ->
+      let params =
+        if entry.name = "per-process" then [] else [ ("limit-mb", "1") ]
+      in
+      let (Utlb.Engine_intf.Packed ((module E), config)) =
+        entry.of_params params
+      in
+      let sem = E.stepper config in
+      let cap = Stepper.capacity sem in
+      let peak = ref 0 in
+      List.iter
+        (fun (spec : Utlb_trace.Workloads.spec) ->
+          let host = Utlb_mem.Host_memory.create () in
+          let engine = E.create ~host ~seed config in
+          let seen = Hashtbl.create 8 in
+          Utlb_trace.Trace.iter (spec.generate ~seed) (fun (r : Record.t) ->
+              let pid = Pid.to_int r.pid in
+              let breaks_cap =
+                Stepper.admission sem ~distinct:(Hashtbl.length seen)
+                  ~fresh:(not (Hashtbl.mem seen pid))
+                  ~pid ~vpn:r.vpn ~npages:r.npages
+                |> List.exists (fun (v : Stepper.violation) ->
+                       List.mem v.code breaks)
+              in
+              Hashtbl.replace seen pid ();
+              ignore (E.lookup engine ~pid:r.pid ~vpn:r.vpn ~npages:r.npages);
+              let pinned = Utlb_mem.Host_memory.pinned_pages host r.pid in
+              peak := max !peak pinned;
+              if pinned > cap && not breaks_cap then
+                Alcotest.failf "%s on %s: pid %d pins %d pages > capacity %d"
+                  entry.name spec.name pid pinned cap))
+        Utlb_trace.Workloads.all;
+      if entry.name = "utlb" then
+        Alcotest.(check int) "limited utlb reaches its capacity" cap !peak)
+    (Registry.mechanisms ())
 
 (* {2 Event parsing and the timeline reader} *)
 
@@ -509,6 +587,10 @@ let suite =
     Alcotest.test_case "protocol: of_mech" `Quick test_protocol_of_mech;
     Alcotest.test_case "protocol: verify_file" `Quick test_protocol_verify_file;
     Alcotest.test_case "protocol: verify_grid" `Quick test_protocol_verify_grid;
+    Alcotest.test_case "spec: config and registry defaults agree" `Quick
+      test_defaults_agree;
+    Alcotest.test_case "spec: engines refine the admission rule" `Quick
+      test_engines_refine_admission;
     Alcotest.test_case "event: of_string roundtrip" `Quick
       test_event_roundtrip;
     Alcotest.test_case "reader: sections" `Quick test_reader_sections;
