@@ -1,7 +1,13 @@
+(* Freed frames sit on a growable stack in front of the never-used
+   frames [next, total), which are handed out in ascending order from a
+   cursor. Nothing is built per frame at creation: the stack and the
+   allocation bytes grow with the frames actually handed out. *)
 type t = {
   total : int;
-  mutable free_list : int list;
-  allocated : Bytes.t; (* one byte per frame: 1 = allocated *)
+  mutable freed : int array; (* stack of freed frames, top at [depth-1] *)
+  mutable depth : int;
+  mutable next : int; (* lowest frame never handed out *)
+  mutable allocated : Bytes.t; (* one byte per frame below [next]: 1 = allocated *)
   mutable free_count : int;
 }
 
@@ -9,10 +15,9 @@ let garbage = 0
 
 let create ~frames =
   if frames < 2 then invalid_arg "Frame_allocator.create: need >= 2 frames";
-  let allocated = Bytes.make frames '\000' in
+  let allocated = Bytes.make (min frames 64) '\000' in
   Bytes.set allocated garbage '\001';
-  let rec build i acc = if i < 1 then acc else build (i - 1) (i :: acc) in
-  { total = frames; free_list = build (frames - 1) []; allocated;
+  { total = frames; freed = [||]; depth = 0; next = 1; allocated;
     free_count = frames - 1 }
 
 let garbage_frame _ = garbage
@@ -23,24 +28,42 @@ let free_count t = t.free_count
 
 let in_use t = t.total - t.free_count
 
+let take t f =
+  t.free_count <- t.free_count - 1;
+  Bytes.set t.allocated f '\001';
+  Some f
+
 let alloc t =
-  match t.free_list with
-  | [] -> None
-  | f :: rest ->
-    t.free_list <- rest;
-    t.free_count <- t.free_count - 1;
-    Bytes.set t.allocated f '\001';
-    Some f
+  if t.depth > 0 then begin
+    t.depth <- t.depth - 1;
+    take t t.freed.(t.depth)
+  end
+  else if t.next < t.total then begin
+    let f = t.next in
+    t.next <- f + 1;
+    if f >= Bytes.length t.allocated then begin
+      let bigger = Bytes.make (min t.total (2 * f)) '\000' in
+      Bytes.blit t.allocated 0 bigger 0 f;
+      t.allocated <- bigger
+    end;
+    take t f
+  end
+  else None
+
+let is_allocated t f = f >= 0 && f < t.next && Bytes.get t.allocated f = '\001'
 
 let free t f =
   if f = garbage then invalid_arg "Frame_allocator.free: garbage frame";
   if f < 0 || f >= t.total then
     invalid_arg "Frame_allocator.free: frame out of range";
-  if Bytes.get t.allocated f = '\000' then
+  if not (is_allocated t f) then
     invalid_arg "Frame_allocator.free: double free";
   Bytes.set t.allocated f '\000';
-  t.free_list <- f :: t.free_list;
+  if t.depth = Array.length t.freed then begin
+    let bigger = Array.make (max 16 (2 * t.depth)) 0 in
+    Array.blit t.freed 0 bigger 0 t.depth;
+    t.freed <- bigger
+  end;
+  t.freed.(t.depth) <- f;
+  t.depth <- t.depth + 1;
   t.free_count <- t.free_count + 1
-
-let is_allocated t f =
-  f >= 0 && f < t.total && Bytes.get t.allocated f = '\001'

@@ -8,7 +8,10 @@
 
     Paging: when DRAM runs out, an unpinned resident page is evicted
     (clock scan); pinned pages are never evicted, which is exactly the
-    guarantee the NI relies on. *)
+    guarantee the NI relies on. The scan is exact — it picks the frame
+    a frame-by-frame sweep from the hand would — but runs word-wise
+    over a bitset of evictable frames, and when every frame is pinned
+    it fails in O(1) without moving the hand. *)
 
 type t
 
@@ -40,7 +43,9 @@ val pin : t -> Pid.t -> vpn:int -> count:int -> (int array, pin_error) result
     [vpn .. vpn+count-1], faulting pages in as needed, and returns their
     frames. On [`Out_of_memory] no page of the range is left pinned by
     this call.
-    @raise Invalid_argument if [count <= 0]. *)
+    @raise Invalid_argument if [count <= 0] or the range leaves the
+    address space ([0 .. Page_table.max_vpn]); the whole range is
+    checked first, so nothing has changed when it raises. *)
 
 val unpin : t -> Pid.t -> vpn:int -> count:int -> unit
 (** Decrement pin counts over the range.

@@ -798,7 +798,11 @@ let lookup t ~pid ~vpn ~npages =
         | Some s -> s
         | None -> assert false (* check_miss implies a clear page *)
       in
-      let reach = max (vpn + npages) (start + t.config.prepin) in
+      (* The pre-pin window stops at the top of the address space. *)
+      let reach =
+        max (vpn + npages)
+          (min (start + t.config.prepin) (Translation_table.max_vpn + 1))
+      in
       let extra = reach - (vpn + npages) in
       if extra > 0 then
         observe t ~pid ~vpn:(vpn + npages) ~count:extra Ev.Pre_pin;

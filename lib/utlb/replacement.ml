@@ -15,137 +15,123 @@ let policy_of_string s =
   let lower = String.lowercase_ascii s in
   List.find_opt (fun p -> String.equal (policy_name p) lower) all_policies
 
-(* Heap entries are (score1, score2, page) snapshots kept in three
-   parallel int arrays; stale snapshots (score no longer current, or
-   page no longer tracked) are discarded lazily at pop time. Snapshot
-   keys are unique — the tick is monotonic, so no two pushes carry the
-   same (score, page) — which makes the pop order independent of heap
-   internals. Insert/touch/select stay O(log n) with no allocation. *)
+(* Pages live in a pool of nodes, int arrays with a free list, found
+   through [pages] (page -> v0 = node). Nodes are never keyed by
+   [Flat_map] slot, since slots move on rehash. Nodes are grouped into
+   buckets by use count, the O(1) LFU of Shah, Mitra and Matani (2010):
+   a bucket is a ring of its pages through [prev]/[next], closed by a
+   sentinel node whose [key] is the use count, and the buckets form a
+   ring in ascending use count through [lower]/[higher], closed by the
+   root sentinel, node 0. A page enters the tail of a bucket each time
+   it is used, so every bucket is in last-use order. LRU and MRU keep
+   every page in one bucket, a recency list; LFU and MFU move a page up
+   to bucket uses+1 on each touch. Insert, touch and remove are O(1)
+   with no allocation. For RANDOM, [pages] maps a page to its index in
+   the dense array instead. *)
 type t = {
   policy : policy;
   rng : Rng.t;
-  (* page -> (v0 = last_use, v1 = uses) *)
   pages : Flat_map.t;
-  mutable hs1 : int array;
-  mutable hs2 : int array;
-  mutable hpage : int array;
-  mutable hlen : int;
+  mutable prev : int array;
+  mutable next : int array;
+  mutable key : int array; (* page, or a sentinel's use count *)
+  mutable bucket : int array; (* page node -> its bucket's sentinel *)
+  mutable lower : int array; (* sentinel -> the bucket below it *)
+  mutable higher : int array; (* sentinel -> the bucket above it *)
+  mutable free : int; (* free nodes chained through [next]; -1 = none *)
+  mutable nodes : int; (* nodes ever handed out, the root included *)
   (* Random policy: dense array of pages with O(1) swap-remove. *)
   mutable dense : int array;
   mutable dense_len : int;
-  (* page -> (v0 = dense index, v1 unused) *)
-  slot : Flat_map.t;
-  mutable tick : int;
 }
-
-let score1 policy ~last_use ~uses =
-  match policy with
-  | Lru -> last_use
-  | Mru -> -last_use
-  | Lfu -> uses
-  | Mfu -> -uses
-  | Random -> 0
-
-let score2 policy ~last_use =
-  match policy with
-  | Lru | Mru | Random -> 0
-  | Lfu | Mfu -> last_use
 
 let create policy ~rng =
   {
     policy;
     rng;
     pages = Flat_map.create ();
-    hs1 = Array.make 64 0;
-    hs2 = Array.make 64 0;
-    hpage = Array.make 64 0;
-    hlen = 0;
+    prev = Array.make 16 0;
+    next = Array.make 16 0;
+    key = Array.make 16 0;
+    bucket = Array.make 16 0;
+    lower = Array.make 16 0;
+    higher = Array.make 16 0;
+    free = -1;
+    nodes = 1;
     dense = Array.make 16 0;
     dense_len = 0;
-    slot = Flat_map.create ();
-    tick = 0;
   }
 
 let policy t = t.policy
 
-let next_tick t =
-  t.tick <- t.tick + 1;
-  t.tick
-
-(* Lexicographic (s1, s2, page) min-heap on the parallel arrays. *)
-let heap_less t i j =
-  t.hs1.(i) < t.hs1.(j)
-  || (t.hs1.(i) = t.hs1.(j)
-     && (t.hs2.(i) < t.hs2.(j)
-        || (t.hs2.(i) = t.hs2.(j) && t.hpage.(i) < t.hpage.(j))))
-
-let heap_swap t i j =
-  let s1 = t.hs1.(i) and s2 = t.hs2.(i) and p = t.hpage.(i) in
-  t.hs1.(i) <- t.hs1.(j);
-  t.hs2.(i) <- t.hs2.(j);
-  t.hpage.(i) <- t.hpage.(j);
-  t.hs1.(j) <- s1;
-  t.hs2.(j) <- s2;
-  t.hpage.(j) <- p
-
-let heap_push t ~s1 ~s2 ~page =
-  if t.hlen = Array.length t.hs1 then begin
-    let cap = 2 * t.hlen in
-    let grow a =
-      let b = Array.make cap 0 in
-      Array.blit a 0 b 0 t.hlen;
-      b
-    in
-    t.hs1 <- grow t.hs1;
-    t.hs2 <- grow t.hs2;
-    t.hpage <- grow t.hpage
-  end;
-  let i = ref t.hlen in
-  t.hs1.(!i) <- s1;
-  t.hs2.(!i) <- s2;
-  t.hpage.(!i) <- page;
-  t.hlen <- t.hlen + 1;
-  while !i > 0 && heap_less t !i ((!i - 1) / 2) do
-    let parent = (!i - 1) / 2 in
-    heap_swap t !i parent;
-    i := parent
-  done
-
-(* Pop the minimum into the given refs; false when empty. *)
-let heap_pop t rs1 rs2 rpage =
-  if t.hlen = 0 then false
+let new_node t =
+  if t.free >= 0 then begin
+    let n = t.free in
+    t.free <- t.next.(n);
+    n
+  end
   else begin
-    rs1 := t.hs1.(0);
-    rs2 := t.hs2.(0);
-    rpage := t.hpage.(0);
-    t.hlen <- t.hlen - 1;
-    if t.hlen > 0 then begin
-      t.hs1.(0) <- t.hs1.(t.hlen);
-      t.hs2.(0) <- t.hs2.(t.hlen);
-      t.hpage.(0) <- t.hpage.(t.hlen);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < t.hlen && heap_less t l !smallest then smallest := l;
-        if r < t.hlen && heap_less t r !smallest then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          heap_swap t !i !smallest;
-          i := !smallest
-        end
-      done
+    let n = t.nodes in
+    if n = Array.length t.next then begin
+      let grow a =
+        let b = Array.make (2 * n) 0 in
+        Array.blit a 0 b 0 n;
+        b
+      in
+      t.prev <- grow t.prev;
+      t.next <- grow t.next;
+      t.key <- grow t.key;
+      t.bucket <- grow t.bucket;
+      t.lower <- grow t.lower;
+      t.higher <- grow t.higher
     end;
-    true
+    t.nodes <- n + 1;
+    n
   end
 
-let push_snapshot t page ~last_use ~uses =
-  if t.policy <> Random then
-    heap_push t
-      ~s1:(score1 t.policy ~last_use ~uses)
-      ~s2:(score2 t.policy ~last_use)
-      ~page
+let push_tail t b n =
+  let last = t.prev.(b) in
+  t.next.(last) <- n;
+  t.prev.(n) <- last;
+  t.next.(n) <- b;
+  t.prev.(b) <- n;
+  t.bucket.(n) <- b
+
+let unlink t n =
+  let p = t.prev.(n) and q = t.next.(n) in
+  t.next.(p) <- q;
+  t.prev.(q) <- p
+
+(* The bucket for [uses] directly above [below], created empty if the
+   next bucket up counts more uses. *)
+let bucket_above t below uses =
+  let above = t.higher.(below) in
+  if above <> 0 && t.key.(above) = uses then above
+  else begin
+    let b = new_node t in
+    t.key.(b) <- uses;
+    t.prev.(b) <- b;
+    t.next.(b) <- b;
+    t.lower.(b) <- below;
+    t.higher.(b) <- above;
+    t.higher.(below) <- b;
+    t.lower.(above) <- b;
+    b
+  end
+
+let free_node t n =
+  t.next.(n) <- t.free;
+  t.free <- n
+
+(* Unlink a page node and drop its bucket if that was its last page. *)
+let take_out t n =
+  let b = t.bucket.(n) in
+  unlink t n;
+  if t.next.(b) = b then begin
+    t.higher.(t.lower.(b)) <- t.higher.(b);
+    t.lower.(t.higher.(b)) <- t.lower.(b);
+    free_node t b
+  end
 
 let dense_add t page =
   if t.dense_len = Array.length t.dense then begin
@@ -154,45 +140,56 @@ let dense_add t page =
     t.dense <- bigger
   end;
   t.dense.(t.dense_len) <- page;
-  ignore (Flat_map.add t.slot page ~v0:t.dense_len ~v1:0);
+  ignore (Flat_map.add t.pages page ~v0:t.dense_len ~v1:0);
   t.dense_len <- t.dense_len + 1
 
-let dense_remove t page =
-  let s = Flat_map.find t.slot page in
-  if s >= 0 then begin
-    let i = Flat_map.value0 t.slot s in
-    let last = t.dense_len - 1 in
-    let moved = t.dense.(last) in
-    t.dense.(i) <- moved;
-    let ms = Flat_map.find t.slot moved in
-    Flat_map.set_value0 t.slot ms i;
-    t.dense_len <- last;
-    Flat_map.remove t.slot page
-  end
+(* Swap-remove the page at dense index [i], keeping [pages] pointing at
+   the page moved into its place. *)
+let dense_remove t i =
+  let last = t.dense_len - 1 in
+  let moved = t.dense.(last) in
+  t.dense.(i) <- moved;
+  Flat_map.set_value0 t.pages (Flat_map.find t.pages moved) i;
+  t.dense_len <- last
 
 let insert t page =
   if Flat_map.mem t.pages page then
     invalid_arg "Replacement.insert: page already tracked";
-  let last_use = next_tick t in
-  ignore (Flat_map.add t.pages page ~v0:last_use ~v1:1);
   if t.policy = Random then dense_add t page
-  else push_snapshot t page ~last_use ~uses:1
+  else begin
+    let n = new_node t in
+    t.key.(n) <- page;
+    push_tail t (bucket_above t 0 1) n;
+    ignore (Flat_map.add t.pages page ~v0:n ~v1:0)
+  end
 
 let touch t page =
   let s = Flat_map.find t.pages page in
-  if s >= 0 then begin
-    let last_use = next_tick t in
-    let uses = Flat_map.value1 t.pages s + 1 in
-    Flat_map.set_value0 t.pages s last_use;
-    Flat_map.set_value1 t.pages s uses;
-    push_snapshot t page ~last_use ~uses
+  if s >= 0 && t.policy <> Random then begin
+    let n = Flat_map.value0 t.pages s in
+    let b = t.bucket.(n) in
+    match t.policy with
+    | Lfu | Mfu ->
+      let target = bucket_above t b (t.key.(b) + 1) in
+      take_out t n;
+      push_tail t target n
+    | Lru | Mru | Random ->
+      unlink t n;
+      push_tail t b n
   end
 
+(* Stop tracking [page], held at node (or dense index) [v]. *)
+let forget t page v =
+  if t.policy = Random then dense_remove t v
+  else begin
+    take_out t v;
+    free_node t v
+  end;
+  Flat_map.remove t.pages page
+
 let remove t page =
-  if Flat_map.mem t.pages page then begin
-    Flat_map.remove t.pages page;
-    if t.policy = Random then dense_remove t page
-  end
+  let s = Flat_map.find t.pages page in
+  if s >= 0 then forget t page (Flat_map.value0 t.pages s)
 
 let mem t page = Flat_map.mem t.pages page
 
@@ -211,64 +208,44 @@ let select_random t protect =
         let rec scan i =
           if i >= t.dense_len then None
           else if protect t.dense.(i) then scan (i + 1)
-          else Some t.dense.(i)
+          else Some i
         in
         scan 0
       else
-        let candidate = t.dense.(Rng.int t.rng t.dense_len) in
-        if protect candidate then sample (k - 1) else Some candidate
+        let i = Rng.int t.rng t.dense_len in
+        if protect t.dense.(i) then sample (k - 1) else Some i
     in
     match sample attempts with
     | None -> None
-    | Some page ->
-      Flat_map.remove t.pages page;
-      dense_remove t page;
+    | Some i ->
+      let page = t.dense.(i) in
+      forget t page i;
       Some page
   end
 
-let select_scored t protect =
-  (* Pop snapshots until a current, unprotected one appears. Protected
-     current snapshots are set aside and pushed back afterwards. *)
-  let stash_s1 = ref [] and stash_s2 = ref [] and stash_page = ref [] in
-  let s1 = ref 0 and s2 = ref 0 and page = ref 0 in
-  let victim = ref None in
-  let continue = ref true in
-  while !continue do
-    if not (heap_pop t s1 s2 page) then continue := false
-    else begin
-      let slot = Flat_map.find t.pages !page in
-      if slot < 0 then () (* page no longer tracked *)
+(* The walk visits pages in the order of the key (uses, last use):
+   LRU and LFU go up the buckets, each oldest first; MFU goes down the
+   buckets, each oldest first; MRU walks its one bucket newest first.
+   Every insert or touch is a new use, so no two pages tie. *)
+let select_ordered t protect =
+  let up = match t.policy with Lru | Lfu -> true | Mru | Mfu | Random -> false in
+  let step n = if t.policy = Mru then t.prev.(n) else t.next.(n) in
+  let rec next_bucket b =
+    let b = if up then t.higher.(b) else t.lower.(b) in
+    if b = 0 then None else walk b (step b)
+  and walk b n =
+    if n = b then next_bucket b
+    else
+      let page = t.key.(n) in
+      if protect page then walk b (step n)
       else begin
-        let last_use = Flat_map.value0 t.pages slot in
-        let uses = Flat_map.value1 t.pages slot in
-        if
-          score1 t.policy ~last_use ~uses <> !s1
-          || score2 t.policy ~last_use <> !s2
-        then () (* stale *)
-        else if protect !page then begin
-          stash_s1 := !s1 :: !stash_s1;
-          stash_s2 := !s2 :: !stash_s2;
-          stash_page := !page :: !stash_page
-        end
-        else begin
-          Flat_map.remove t.pages !page;
-          victim := Some !page;
-          continue := false
-        end
+        forget t page n;
+        Some page
       end
-    end
-  done;
-  let rec push_back l1 l2 l3 =
-    match (l1, l2, l3) with
-    | s1 :: r1, s2 :: r2, page :: r3 ->
-      heap_push t ~s1 ~s2 ~page;
-      push_back r1 r2 r3
-    | _ -> ()
   in
-  push_back !stash_s1 !stash_s2 !stash_page;
-  !victim
+  next_bucket 0
 
 let select_victim t ?(protect = fun _ -> false) () =
   match t.policy with
   | Random -> select_random t protect
-  | Lru | Mru | Lfu | Mfu -> select_scored t protect
+  | Lru | Mru | Lfu | Mfu -> select_ordered t protect

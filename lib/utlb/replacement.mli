@@ -7,7 +7,20 @@
 
     Victims involved in outstanding requests can be excluded with the
     [protect] predicate — the correctness requirement of Section 3.1
-    (never unpin a page with an outstanding send). *)
+    (never unpin a page with an outstanding send).
+
+    Structure: pages sit in a pool of list nodes grouped into buckets
+    by use count, each bucket in last-use order (the O(1) LFU of Shah,
+    Mitra and Matani, 2010); LRU and MRU use a single bucket, a recency
+    list. RANDOM keeps a dense array. [insert], [touch], [remove],
+    [mem] and [size] are O(1) and allocate only to grow the pool. Under
+    LRU, MRU, LFU and MFU, [select_victim] is O(1) plus one step per
+    protected page it passes over.
+
+    Tie order: the victim is the unprotected page that comes first by
+    LRU oldest use; MRU newest use; LFU fewest uses, then oldest use;
+    MFU most uses, then oldest use. Every insert or touch is a new
+    use, so no two pages ever tie. *)
 
 type policy = Lru | Mru | Lfu | Mfu | Random
 

@@ -89,6 +89,21 @@ let test_frame_allocator () =
   Alcotest.(check (option int)) "reuses freed" (Some b)
     (Frame_allocator.alloc fa)
 
+let test_frame_allocator_order () =
+  (* Freed frames come back most recent first, ahead of the frames
+     never handed out, which come in ascending order. *)
+  let fa = Frame_allocator.create ~frames:8 in
+  let take () = Option.get (Frame_allocator.alloc fa) in
+  let first = List.init 3 (fun _ -> take ()) in
+  Alcotest.(check (list int)) "ascending from 1" [ 1; 2; 3 ] first;
+  Frame_allocator.free fa 1;
+  Frame_allocator.free fa 3;
+  Alcotest.(check int) "most recently freed" 3 (take ());
+  Alcotest.(check int) "then the earlier free" 1 (take ());
+  Alcotest.(check int) "then the lowest never used" 4 (take ());
+  Alcotest.(check bool) "4 allocated" true (Frame_allocator.is_allocated fa 4);
+  Alcotest.(check bool) "5 not yet" false (Frame_allocator.is_allocated fa 5)
+
 let test_frame_allocator_errors () =
   let fa = Frame_allocator.create ~frames:4 in
   Alcotest.check_raises "free garbage"
@@ -174,6 +189,25 @@ let test_host_pin_rollback () =
   | Error `Out_of_memory -> ());
   Alcotest.(check int) "rolled back" 2 (Host_memory.pinned_pages host pid0)
 
+let test_host_pin_out_of_range () =
+  (* A range that runs past the last page raises before any page of it
+     is pinned or faulted in. *)
+  let host = Host_memory.create ~frames:64 () in
+  Host_memory.add_process host pid0;
+  ignore (Host_memory.pin host pid0 ~vpn:5 ~count:1);
+  let top = Page_table.max_vpn in
+  let free = Host_memory.free_frames host in
+  Alcotest.check_raises "past the top"
+    (Invalid_argument "Host_memory.pin: vpn out of range") (fun () ->
+      ignore (Host_memory.pin host pid0 ~vpn:(top - 1) ~count:4));
+  Alcotest.(check int) "pinned pages unchanged" 1
+    (Host_memory.pinned_pages host pid0);
+  Alcotest.(check int) "top-1 not pinned" 0
+    (Host_memory.pin_count host pid0 ~vpn:(top - 1));
+  Alcotest.(check int) "top not pinned" 0
+    (Host_memory.pin_count host pid0 ~vpn:top);
+  Alcotest.(check int) "no frame taken" free (Host_memory.free_frames host)
+
 let test_host_process_isolation () =
   let host = Host_memory.create ~frames:64 () in
   Host_memory.add_process host pid0;
@@ -216,6 +250,69 @@ let prop_pin_unpin_balance =
         pinned;
       Host_memory.pinned_pages host pid0 = 0)
 
+(* The host against the Hashtbl-and-linear-scan implementation it
+   replaced (Host_memory_oracle): random faults, pins and unpins over
+   2-64 frames and 1-3 processes, with vpns enough to fill the host so
+   the clock wraps and pins fail and roll back. Every result and every
+   observable counter must agree after each operation. *)
+module Old = Host_memory_oracle
+
+let prop_host_matches_oracle =
+  let gen =
+    QCheck.Gen.(
+      int_range 2 64 >>= fun frames ->
+      int_range 1 3 >>= fun npids ->
+      list_size (int_range 1 250)
+        (quad (int_bound 9) (int_bound (npids - 1)) (int_bound (frames + 8))
+           (int_range 1 4))
+      >|= fun ops -> (frames, npids, ops))
+  in
+  let print (frames, npids, ops) =
+    Printf.sprintf "frames=%d pids=%d ops=[%s]" frames npids
+      (String.concat "; "
+         (List.map
+            (fun (k, p, v, c) -> Printf.sprintf "(%d,%d,%d,%d)" k p v c)
+            ops))
+  in
+  QCheck.Test.make ~name:"host memory matches the old implementation"
+    ~count:300 (QCheck.make ~print gen) (fun (frames, npids, ops) ->
+      let h = Host_memory.create ~frames () in
+      let o = Old.create ~frames () in
+      let pids = Array.init npids Pid.of_int in
+      Array.iter (fun pid -> Host_memory.add_process h pid; Old.add_process o pid) pids;
+      let guard f = try Ok (f ()) with Invalid_argument m -> Error m in
+      let owner = Option.map (fun (pid, vpn) -> (Pid.to_int pid, vpn)) in
+      let agree () =
+        Host_memory.free_frames h = Old.free_frames o
+        && Host_memory.faults h = Old.faults o
+        && Host_memory.evictions h = Old.evictions o
+        && Array.for_all
+             (fun pid ->
+               Host_memory.pinned_pages h pid = Old.pinned_pages o pid
+               && Host_memory.resident_pages h pid = Old.resident_pages o pid)
+             pids
+        && List.for_all
+             (fun frame ->
+               owner (Host_memory.frame_owner h ~frame)
+               = owner (Old.frame_owner o ~frame))
+             (List.init frames Fun.id)
+      in
+      List.for_all
+        (fun (kind, p, vpn, count) ->
+          let pid = pids.(p) in
+          let same =
+            if kind < 5 then
+              Host_memory.pin h pid ~vpn ~count = Old.pin o pid ~vpn ~count
+            else if kind < 7 then
+              guard (fun () -> Host_memory.unpin h pid ~vpn ~count)
+              = guard (fun () -> Old.unpin o pid ~vpn ~count)
+            else
+              Host_memory.ensure_resident h pid ~vpn
+              = Old.ensure_resident o pid ~vpn
+          in
+          same && agree ())
+        ops)
+
 let suite =
   [
     Alcotest.test_case "addr pages" `Quick test_addr_pages;
@@ -226,6 +323,7 @@ let suite =
     Alcotest.test_case "page table pinning" `Quick test_page_table_pinning;
     Alcotest.test_case "page table iter" `Quick test_page_table_iter;
     Alcotest.test_case "frame allocator" `Quick test_frame_allocator;
+    Alcotest.test_case "frame allocator order" `Quick test_frame_allocator_order;
     Alcotest.test_case "frame allocator errors" `Quick test_frame_allocator_errors;
     Alcotest.test_case "host pin/unpin" `Quick test_host_pin_unpin;
     Alcotest.test_case "host pin refcount" `Quick test_host_pin_refcount;
@@ -233,7 +331,9 @@ let suite =
     Alcotest.test_case "host eviction" `Quick test_host_eviction;
     Alcotest.test_case "host OOM all pinned" `Quick test_host_oom_when_all_pinned;
     Alcotest.test_case "host pin rollback" `Quick test_host_pin_rollback;
+    Alcotest.test_case "host pin out of range" `Quick test_host_pin_out_of_range;
     Alcotest.test_case "host process isolation" `Quick test_host_process_isolation;
     Alcotest.test_case "host unknown process" `Quick test_host_unknown_process;
     QCheck_alcotest.to_alcotest prop_pin_unpin_balance;
+    QCheck_alcotest.to_alcotest prop_host_matches_oracle;
   ]

@@ -144,6 +144,70 @@ let prop_lru_evicts_oldest =
       | None, [] -> true
       | _ -> false)
 
+(* The node pool against the lazy heap it replaced
+   (Replacement_oracle), for all five policies: random inserts
+   (re-inserting removed pages), touches, removes and selects that
+   protect a random range [lo, lo+n), everything, or nothing. Victims,
+   [size] and [mem] must agree after every operation. *)
+module Old = Replacement_oracle
+
+let prop_matches_heap_oracle =
+  let pages = 24 in
+  let gen =
+    QCheck.Gen.(
+      pair (int_bound 4)
+        (list_size (int_range 1 300)
+           (quad (int_bound 19) (int_bound (pages - 1)) (int_bound (pages - 1))
+              (int_bound pages))))
+  in
+  let print (policy_idx, ops) =
+    Printf.sprintf "policy=%d ops=[%s]" policy_idx
+      (String.concat "; "
+         (List.map
+            (fun (k, p, lo, n) -> Printf.sprintf "(%d,%d,%d,%d)" k p lo n)
+            ops))
+  in
+  QCheck.Test.make ~name:"victim order matches the heap oracle" ~count:500
+    (QCheck.make ~print gen) (fun (policy_idx, ops) ->
+      let policy = List.nth Replacement.all_policies policy_idx in
+      let t = make policy in
+      let o = Old.create policy ~rng:(Rng.create ~seed:13L) in
+      let guard f = try Ok (f ()) with Invalid_argument m -> Error m in
+      let agree () =
+        Replacement.size t = Old.size o
+        && List.for_all
+             (fun p -> Replacement.mem t p = Old.mem o p)
+             (List.init pages Fun.id)
+      in
+      List.for_all
+        (fun (kind, page, lo, n) ->
+          let same =
+            if kind < 6 then
+              guard (fun () -> Replacement.insert t page)
+              = guard (fun () -> Old.insert o page)
+            else if kind < 12 then begin
+              Replacement.touch t page;
+              Old.touch o page;
+              true
+            end
+            else if kind < 14 then begin
+              Replacement.remove t page;
+              Old.remove o page;
+              true
+            end
+            else
+              let protect =
+                match kind with
+                | 18 -> fun _ -> true
+                | 19 -> fun _ -> false
+                | _ -> fun p -> p >= lo && p < lo + n
+              in
+              Replacement.select_victim t ~protect ()
+              = Old.select_victim o ~protect ()
+          in
+          same && agree ())
+        ops)
+
 let suite =
   [
     Alcotest.test_case "lru order" `Quick test_lru_order;
@@ -159,4 +223,5 @@ let suite =
     Alcotest.test_case "policy of string" `Quick test_policy_of_string;
     QCheck_alcotest.to_alcotest prop_victims_are_tracked;
     QCheck_alcotest.to_alcotest prop_lru_evicts_oldest;
+    QCheck_alcotest.to_alcotest prop_matches_heap_oracle;
   ]
